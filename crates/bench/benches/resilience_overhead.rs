@@ -1,7 +1,8 @@
-//! Resilience-layer overhead: the same β-heavy plan executed through a
-//! bare invoker vs the full resilience stack (retry budget + deadline
-//! accounting + circuit breaker) with *no faults injected* — the price
-//! paid on the happy path.
+//! Resilience-stage overhead: the same β-heavy plan executed through a
+//! bare invoker vs the β pipeline's retry/breaker stage (retry budget +
+//! deadline accounting + circuit breaker, no dedup and no telemetry on
+//! either arm) with *no faults injected* — the price paid on the happy
+//! path.
 //!
 //! ```sh
 //! cargo bench -p serena-bench --bench resilience_overhead
@@ -11,7 +12,6 @@
 //! `SERENA_BENCH_ASSERT_OVERHEAD_PCT` is set (CI smoke), the process exits
 //! nonzero if the measured relative overhead exceeds that bound.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use serena_bench::criterion_group;
@@ -22,7 +22,8 @@ use serena_core::exec::ExecContext;
 use serena_core::plan::Plan;
 use serena_core::service::Invoker;
 use serena_core::time::Instant;
-use serena_services::resilience::{ResiliencePolicy, ResilienceState, ResilientInvoker};
+use serena_services::pipeline::BetaPipeline;
+use serena_services::resilience::{ResiliencePolicy, ResilienceState};
 
 /// Sensors invoked per pass: every row is a live β call (the one-shot
 /// operator does not cache), so the denominator is pure invocation work.
@@ -45,7 +46,7 @@ fn beta_plan() -> Plan {
 }
 
 /// The identical β fan-out through the bare registry vs the no-fault
-/// resilient stack.
+/// resilient pipeline.
 fn bench_resilience_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("resilience_overhead");
     let env = workload::scaled_environment(SENSORS, 0, 0);
@@ -64,15 +65,15 @@ fn bench_resilience_overhead(c: &mut Criterion) {
         b.iter(|| ctx.execute(p).unwrap())
     });
 
-    let resilient =
-        ResilientInvoker::with_state(&reg, active_policy(), Arc::new(ResilienceState::new()));
+    let state = ResilienceState::new();
+    let resilient = BetaPipeline::new(&reg, active_policy(), &state);
     let ctx = ExecContext::new(&env, &resilient, Instant(1));
     group.bench_with_input(BenchmarkId::new("invoker", "resilient"), &plan, |b, p| {
         b.iter(|| ctx.execute(p).unwrap())
     });
 
-    let with_deadline =
-        ResilientInvoker::with_state(&reg, deadline_policy(), Arc::new(ResilienceState::new()));
+    let deadline_state = ResilienceState::new();
+    let with_deadline = BetaPipeline::new(&reg, deadline_policy(), &deadline_state);
     let ctx = ExecContext::new(&env, &with_deadline, Instant(1));
     group.bench_with_input(BenchmarkId::new("invoker", "deadline"), &plan, |b, p| {
         b.iter(|| ctx.execute(p).unwrap())
@@ -99,8 +100,8 @@ fn interleaved_overhead_pct() -> (f64, f64, f64) {
     let reg = workload::scaled_registry(SENSORS, 0);
     let plan = beta_plan();
     let ctx_bare = ExecContext::new(&env, &reg, Instant(1));
-    let resilient =
-        ResilientInvoker::with_state(&reg, active_policy(), Arc::new(ResilienceState::new()));
+    let state = ResilienceState::new();
+    let resilient = BetaPipeline::new(&reg, active_policy(), &state);
     let ctx_resilient = ExecContext::new(&env, &resilient, Instant(1));
 
     for _ in 0..PASSES * 4 {
@@ -146,15 +147,15 @@ fn main() {
         (resilient.mean_ns as f64 - bare.mean_ns as f64) / bare.mean_ns.max(1) as f64 * 100.0;
     let (overhead_pct, bare_ns, resilient_ns) = interleaved_overhead_pct();
     println!(
-        "resilience stack overhead vs bare invoker (no faults): {overhead_pct:.2}% interleaved \
+        "resilience stage overhead vs bare invoker (no faults): {overhead_pct:.2}% interleaved \
          ({bare_ns:.0} ns → {resilient_ns:.0} ns/pass; sequential: {sequential_pct:.2}%)"
     );
 
     // sanity: the resilient pass really ran with an armed policy; the
     // happy path must never retry or trip a breaker
     let reg = workload::scaled_registry(4, 0);
-    let state = Arc::new(ResilienceState::new());
-    let inv = ResilientInvoker::with_state(&reg, active_policy(), Arc::clone(&state));
+    let state = ResilienceState::new();
+    let inv = BetaPipeline::new(&reg, active_policy(), &state);
     let sref = serena_core::value::ServiceRef::new("s0");
     inv.invoke(
         &serena_core::prototype::examples::get_temperature(),

@@ -11,20 +11,20 @@
 //! same relation, and performing the upstream call once is semantically
 //! invisible.
 //!
-//! [`DedupInvoker`] exploits this: placed **outermost** in the PEMS
-//! [`InvokerStack`](crate::service::InvokerStack) (above resilience, so
-//! retries of a genuinely failing call still re-invoke), it keeps a
-//! per-instant table keyed on `(prototype, service, input)`. The first
-//! caller of a key performs the real call; concurrent callers of the same
-//! key block on an in-flight latch and receive a clone of the result;
-//! later callers within the same instant are served from the completed
-//! entry. Advancing to a new instant clears the table — the memo never
-//! outlives the instant whose determinism justifies it.
+//! [`DedupState`] exploits this. The β pipeline (`serena-services`)
+//! claims each logical call here *before* its resilience stage, so retries
+//! of a genuinely failing call still re-invoke, and keeps a per-instant
+//! table keyed on `(prototype, service, input)`. The first caller of a key
+//! performs the real call; concurrent callers of the same key block on an
+//! in-flight latch and receive a clone of the result; later callers within
+//! the same instant are served from the completed entry. Advancing to a
+//! new instant clears the table — the memo never outlives the instant
+//! whose determinism justifies it.
 //!
 //! Every coalesced call is counted per logical caller in
-//! `serena_beta_dedup_total{service=…}` (when a registry is attached) and
-//! in [`DedupState::hits`]; physical upstream calls remain individually
-//! observed by the instrumented layer below.
+//! [`DedupState::hits`] (and, by the pipeline, in
+//! `serena_beta_dedup_total{service=…}`); physical upstream calls remain
+//! individually observed by the pipeline's attempt stage.
 //!
 //! [`Service`]: crate::service::Service
 
@@ -36,8 +36,6 @@ use crate::sync::Mutex;
 
 use crate::error::EvalError;
 use crate::prototype::Prototype;
-use crate::service::{Invoker, InvokerLayer};
-use crate::telemetry::{FlightRecorder, MetricsRegistry};
 use crate::time::Instant;
 use crate::tuple::Tuple;
 use crate::value::ServiceRef;
@@ -50,7 +48,8 @@ struct DedupKey {
     input: Tuple,
 }
 
-type CallResult = Result<Vec<Tuple>, EvalError>;
+/// The outcome of one β invocation.
+pub type CallResult = Result<Vec<Tuple>, EvalError>;
 
 /// A latch one in-flight upstream call publishes its result through;
 /// concurrent callers of the same key wait here instead of re-invoking.
@@ -97,8 +96,8 @@ struct Table {
     entries: HashMap<DedupKey, Entry>,
 }
 
-/// Shared dedup memo + counters, surviving rebuilt invoker stacks (one per
-/// PEMS runtime, like `ResilienceState`). Cheap to share: one mutex around
+/// Shared dedup memo + counters, surviving across ticks (one per PEMS
+/// runtime, like `ResilienceState`). Cheap to share: one mutex around
 /// the per-instant table, atomics for the counters.
 #[derive(Default)]
 pub struct DedupState {
@@ -118,449 +117,101 @@ impl DedupState {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Upstream calls actually performed through the dedup layer
-    /// (cumulative).
+    /// Upstream calls actually performed by claim owners (cumulative).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 }
 
-/// What the table lookup decided a caller must do.
-enum Claim {
-    /// Serve this already-completed result.
-    Serve(CallResult),
-    /// Wait on this latch for the in-flight caller's result.
-    Wait(Arc<Latch>),
-    /// Perform the upstream call and publish through this latch.
-    Call(Arc<Latch>),
+/// What [`DedupState::claim`] decided a logical caller gets.
+pub enum Claim {
+    /// Another caller's result for the same key at the same instant:
+    /// served from the completed entry (`how` = `"hit"`) or awaited from
+    /// the in-flight call (`how` = `"wait"`). Already counted as a hit.
+    Shared {
+        /// The shared result.
+        result: CallResult,
+        /// How the memo resolved the call: `"hit"` or `"wait"`.
+        how: &'static str,
+    },
+    /// This caller owns the key: perform the upstream call and hand its
+    /// result to [`DedupState::publish`].
+    Owner(DedupTicket),
+}
+
+/// The obligation of the caller that owns a key: concurrent callers wait
+/// until it is passed to [`DedupState::publish`].
+pub struct DedupTicket {
+    key: DedupKey,
+    at: Instant,
+    latch: Arc<Latch>,
 }
 
 impl DedupState {
-    fn claim(&self, key: &DedupKey, at: Instant) -> Claim {
-        let mut guard = self.table.lock();
-        let table = guard.get_or_insert_with(|| Table {
-            at: None,
-            entries: HashMap::new(),
-        });
-        if table.at != Some(at) {
-            table.entries.clear();
-            table.at = Some(at);
-        }
-        match table.entries.get(key) {
-            Some(Entry::Done(result)) => Claim::Serve(result.clone()),
-            Some(Entry::InFlight(latch)) => Claim::Wait(Arc::clone(latch)),
-            None => {
-                let latch = Latch::new();
-                table
-                    .entries
-                    .insert(key.clone(), Entry::InFlight(Arc::clone(&latch)));
-                Claim::Call(latch)
-            }
-        }
-    }
-
-    fn complete(&self, key: &DedupKey, at: Instant, result: CallResult) {
-        let mut guard = self.table.lock();
-        if let Some(table) = guard.as_mut() {
-            // Only memoize if the table still belongs to this instant — a
-            // concurrent call at a newer instant may have cleared it.
-            if table.at == Some(at) {
-                table.entries.insert(key.clone(), Entry::Done(result));
-            }
-        }
-    }
-}
-
-/// The dedup decorator: coalesces identical invocations issued within one
-/// instant into a single upstream call. See the module docs for placement
-/// and the soundness argument.
-pub struct DedupInvoker<I> {
-    inner: I,
-    state: Arc<DedupState>,
-    registry: Option<Arc<MetricsRegistry>>,
-    tracer: Option<Arc<FlightRecorder>>,
-}
-
-impl<I: Invoker> DedupInvoker<I> {
-    /// Wrap `inner`, memoizing through `state`.
-    pub fn new(inner: I, state: Arc<DedupState>) -> Self {
-        DedupInvoker {
-            inner,
-            state,
-            registry: None,
-            tracer: None,
-        }
-    }
-
-    /// Count coalesced calls in `registry` as
-    /// `serena_beta_dedup_total{service=…}` — one increment per logical
-    /// caller whose call was served without an upstream invocation.
-    pub fn registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Record one `beta` span per logical call into `tracer`, annotated
-    /// with how the memo resolved it (`dedup` = `hit`/`wait`/`call`).
-    pub fn tracer(mut self, tracer: Arc<FlightRecorder>) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    fn count_dedup(&self, service: &ServiceRef) {
-        self.state.hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(registry) = &self.registry {
-            registry
-                .counter("serena_beta_dedup_total", &[("service", service.as_str())])
-                .inc();
-        }
-    }
-}
-
-impl<I: Invoker> Invoker for DedupInvoker<I> {
-    fn invoke(
+    /// Claim the call `(prototype, service, input)` at instant `at`:
+    /// either share an earlier caller's result (blocking while that call is
+    /// in flight) or become the caller that performs it.
+    pub fn claim(
         &self,
         prototype: &Prototype,
-        service_ref: &ServiceRef,
+        service: &ServiceRef,
         input: &Tuple,
         at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
+    ) -> Claim {
         let key = DedupKey {
             prototype: prototype.name().to_string(),
-            service: service_ref.clone(),
+            service: service.clone(),
             input: input.clone(),
         };
-        let mut span = self.tracer.as_deref().and_then(|t| t.start("beta", at));
-        if let Some(s) = span.as_mut() {
-            s.attr_str("service", service_ref.as_str());
-            s.attr_str("prototype", prototype.name());
-        }
-        let (result, how) = match self.state.claim(&key, at) {
-            Claim::Serve(result) => {
-                self.count_dedup(service_ref);
-                (result, "hit")
+        let latch = {
+            let mut guard = self.table.lock();
+            let table = guard.get_or_insert_with(|| Table {
+                at: None,
+                entries: HashMap::new(),
+            });
+            if table.at != Some(at) {
+                table.entries.clear();
+                table.at = Some(at);
             }
-            Claim::Wait(latch) => {
-                let result = latch.wait();
-                self.count_dedup(service_ref);
-                (result, "wait")
-            }
-            Claim::Call(latch) => {
-                let result = {
-                    // layers below (resilience, per-attempt
-                    // instrumentation) nest under this logical β span
-                    let _in_span = span.as_ref().map(|s| s.enter());
-                    self.inner.invoke(prototype, service_ref, input, at)
-                };
-                self.state.misses.fetch_add(1, Ordering::Relaxed);
-                self.state.complete(&key, at, result.clone());
-                latch.publish(result.clone());
-                (result, "call")
+            match table.entries.get(&key) {
+                Some(Entry::Done(result)) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Claim::Shared {
+                        result: result.clone(),
+                        how: "hit",
+                    };
+                }
+                Some(Entry::InFlight(latch)) => Arc::clone(latch),
+                None => {
+                    let latch = Latch::new();
+                    table
+                        .entries
+                        .insert(key.clone(), Entry::InFlight(Arc::clone(&latch)));
+                    return Claim::Owner(DedupTicket { key, at, latch });
+                }
             }
         };
-        if let Some(s) = span.as_mut() {
-            s.attr_str("dedup", how);
-            s.attr_u64("ok", result.is_ok() as u64);
-        }
-        result
-    }
-
-    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        self.inner.providers_of(prototype)
-    }
-}
-
-/// The [`InvokerLayer`] form of [`DedupInvoker`]. Add it **last** (making
-/// it the outermost decorator) so resilience retries underneath it still
-/// reach the service, while logical callers above share one result per
-/// `(prototype, service, input, instant)`. A disabled layer is an exact
-/// pass-through.
-pub struct DedupLayer {
-    state: Arc<DedupState>,
-    registry: Option<Arc<MetricsRegistry>>,
-    tracer: Option<Arc<FlightRecorder>>,
-    enabled: bool,
-}
-
-impl DedupLayer {
-    /// A layer memoizing through `state` (enabled).
-    pub fn new(state: Arc<DedupState>) -> Self {
-        DedupLayer {
-            state,
-            registry: None,
-            tracer: None,
-            enabled: true,
+        let result = latch.wait();
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Claim::Shared {
+            result,
+            how: "wait",
         }
     }
 
-    /// Count coalesced calls in `registry` (see
-    /// [`DedupInvoker::registry`]).
-    pub fn registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Record `beta` spans into `tracer` (see [`DedupInvoker::tracer`]).
-    pub fn tracer(mut self, tracer: Arc<FlightRecorder>) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Enable or disable the layer; a disabled layer adds no decorator at
-    /// all, leaving the stack byte-for-byte as it was.
-    pub fn enabled(mut self, enabled: bool) -> Self {
-        self.enabled = enabled;
-        self
-    }
-}
-
-impl<'a> InvokerLayer<'a> for DedupLayer {
-    fn wrap(self, inner: Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a> {
-        if !self.enabled {
-            return inner;
+    /// Publish the owner's result: memoize it for later callers within the
+    /// same instant and wake every caller waiting on it.
+    pub fn publish(&self, ticket: DedupTicket, result: &CallResult) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if let Some(table) = self.table.lock().as_mut() {
+            // Only memoize if the table still belongs to this instant — a
+            // concurrent call at a newer instant may have cleared it.
+            if table.at == Some(ticket.at) {
+                table
+                    .entries
+                    .insert(ticket.key, Entry::Done(result.clone()));
+            }
         }
-        let mut invoker = DedupInvoker::new(inner, self.state);
-        if let Some(registry) = self.registry {
-            invoker = invoker.registry(registry);
-        }
-        if let Some(tracer) = self.tracer {
-            invoker = invoker.tracer(tracer);
-        }
-        Box::new(invoker)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::prototype::examples as protos;
-    use crate::service::fixtures::example_registry;
-    use crate::service::{FnService, InvokerStack, StaticRegistry};
-    use crate::value::Value;
-
-    /// A registry whose sensor counts every physical invocation.
-    fn counting_registry() -> (StaticRegistry, Arc<AtomicU64>) {
-        let calls = Arc::new(AtomicU64::new(0));
-        let seen = Arc::clone(&calls);
-        let reg = StaticRegistry::new();
-        reg.register(
-            "sensor01",
-            Arc::new(FnService::new(
-                vec![protos::get_temperature()],
-                move |_p, input, at| {
-                    seen.fetch_add(1, Ordering::SeqCst);
-                    let salt = input.arity() as u64;
-                    Ok(vec![Tuple::new(vec![Value::Real(
-                        (at.ticks() + salt) as f64,
-                    )])])
-                },
-            )),
-        );
-        (reg, calls)
-    }
-
-    fn stack<'a>(state: &Arc<DedupState>, reg: &'a StaticRegistry) -> Box<dyn Invoker + 'a> {
-        InvokerStack::new(reg)
-            .layer(DedupLayer::new(Arc::clone(state)))
-            .into_inner()
-    }
-
-    #[test]
-    fn identical_calls_within_an_instant_coalesce() {
-        let (reg, calls) = counting_registry();
-        let state = Arc::new(DedupState::new());
-        let inv = stack(&state, &reg);
-        let call = |at| {
-            inv.invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("sensor01"),
-                &Tuple::empty(),
-                at,
-            )
-            .unwrap()
-        };
-        let a = call(Instant(3));
-        let b = call(Instant(3));
-        let c = call(Instant(3));
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "one upstream call");
-        assert_eq!((state.hits(), state.misses()), (2, 1));
-    }
-
-    #[test]
-    fn a_new_instant_clears_the_memo() {
-        let (reg, calls) = counting_registry();
-        let state = Arc::new(DedupState::new());
-        let inv = stack(&state, &reg);
-        for at in [Instant(0), Instant(0), Instant(1), Instant(1)] {
-            inv.invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("sensor01"),
-                &Tuple::empty(),
-                at,
-            )
-            .unwrap();
-        }
-        assert_eq!(calls.load(Ordering::SeqCst), 2, "one call per instant");
-        // regressing to an old instant is also a fresh table (defensive:
-        // PEMS never does this, but the memo must not serve stale results)
-        inv.invoke(
-            &protos::get_temperature(),
-            &ServiceRef::new("sensor01"),
-            &Tuple::empty(),
-            Instant(0),
-        )
-        .unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn distinct_inputs_do_not_coalesce() {
-        let (reg, calls) = counting_registry();
-        let state = Arc::new(DedupState::new());
-        let inv = stack(&state, &reg);
-        let proto = protos::get_temperature();
-        let sref = ServiceRef::new("sensor01");
-        let a = inv
-            .invoke(&proto, &sref, &Tuple::new(vec![Value::Int(1)]), Instant(0))
-            .unwrap();
-        let b = inv
-            .invoke(&proto, &sref, &Tuple::new(vec![Value::Int(2)]), Instant(0))
-            .unwrap();
-        // different inputs both reached the service (salt differs per arity
-        // only, so equal outputs are fine — the call count is the contract)
-        let _ = (a, b);
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-        assert_eq!(state.hits(), 0);
-    }
-
-    #[test]
-    fn errors_are_shared_like_results() {
-        let reg = StaticRegistry::new();
-        let calls = Arc::new(AtomicU64::new(0));
-        let seen = Arc::clone(&calls);
-        reg.register(
-            "flaky",
-            Arc::new(FnService::new(
-                vec![protos::get_temperature()],
-                move |_p, _in, _at| {
-                    seen.fetch_add(1, Ordering::SeqCst);
-                    Err("device unreachable".to_string())
-                },
-            )),
-        );
-        let state = Arc::new(DedupState::new());
-        let inv = stack(&state, &reg);
-        let call = || {
-            inv.invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("flaky"),
-                &Tuple::empty(),
-                Instant(5),
-            )
-            .unwrap_err()
-        };
-        let a = call();
-        let b = call();
-        assert_eq!(a, b, "second caller sees the identical error");
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn concurrent_callers_share_one_inflight_call() {
-        let calls = Arc::new(AtomicU64::new(0));
-        let seen = Arc::clone(&calls);
-        let reg = StaticRegistry::new();
-        reg.register(
-            "slow",
-            Arc::new(FnService::new(
-                vec![protos::get_temperature()],
-                move |_p, _in, at| {
-                    seen.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    Ok(vec![Tuple::new(vec![Value::Real(at.ticks() as f64)])])
-                },
-            )),
-        );
-        let state = Arc::new(DedupState::new());
-        let inv = stack(&state, &reg);
-        let results: Vec<Vec<Tuple>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let inv = &inv;
-                    scope.spawn(move || {
-                        inv.invoke(
-                            &protos::get_temperature(),
-                            &ServiceRef::new("slow"),
-                            &Tuple::empty(),
-                            Instant(9),
-                        )
-                        .unwrap()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("caller thread"))
-                .collect()
-        });
-        assert!(results.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "calls coalesced");
-        assert_eq!(state.hits() + state.misses(), 8);
-        assert_eq!(state.misses(), 1);
-    }
-
-    #[test]
-    fn disabled_layer_is_a_pass_through() {
-        let (reg, calls) = counting_registry();
-        let state = Arc::new(DedupState::new());
-        let inv = InvokerStack::new(&reg)
-            .layer(DedupLayer::new(Arc::clone(&state)).enabled(false))
-            .into_inner();
-        for _ in 0..3 {
-            inv.invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("sensor01"),
-                &Tuple::empty(),
-                Instant(1),
-            )
-            .unwrap();
-        }
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-        assert_eq!((state.hits(), state.misses()), (0, 0));
-    }
-
-    #[test]
-    fn dedup_counter_lands_in_the_registry() {
-        let (reg, _calls) = counting_registry();
-        let state = Arc::new(DedupState::new());
-        let metrics = Arc::new(MetricsRegistry::new());
-        let inv = InvokerStack::new(&reg)
-            .layer(DedupLayer::new(Arc::clone(&state)).registry(Arc::clone(&metrics)))
-            .into_inner();
-        for _ in 0..4 {
-            inv.invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("sensor01"),
-                &Tuple::empty(),
-                Instant(2),
-            )
-            .unwrap();
-        }
-        assert_eq!(
-            metrics.counter_value("serena_beta_dedup_total", &[("service", "sensor01")]),
-            Some(3)
-        );
-        let text = metrics.render_prometheus();
-        assert!(text.contains("# TYPE serena_beta_dedup_total counter"));
-    }
-
-    #[test]
-    fn providers_pass_through() {
-        let reg = example_registry();
-        let state = Arc::new(DedupState::new());
-        let inv = stack(&state, &reg);
-        assert_eq!(inv.providers_of("getTemperature").len(), 4);
+        ticket.latch.publish(result.clone());
     }
 }

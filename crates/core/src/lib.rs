@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::action::{Action, ActionSet};
     pub use crate::attr::{attr, AttrName};
     pub use crate::binding::BindingPattern;
-    pub use crate::dedup::{DedupInvoker, DedupLayer, DedupState};
+    pub use crate::dedup::DedupState;
     pub use crate::env::Environment;
     pub use crate::error::{EvalError, PlanError, SchemaError};
     pub use crate::eval::EvalOutcome;
@@ -96,11 +96,10 @@ pub mod prelude {
     pub use crate::plan::Plan;
     pub use crate::prototype::{Prototype, RelationSchema};
     pub use crate::schema::{AttrKind, Attribute, SchemaRef, XSchema};
-    pub use crate::service::{Invoker, InvokerLayer, InvokerStack, Service, StaticRegistry};
+    pub use crate::service::{Invoker, Service, StaticRegistry};
     pub use crate::telemetry::{
-        beta_cache_hit_ratio, Counter, Gauge, Histogram, InstrumentedInvoker, InstrumentedLayer,
-        InvocationObserver, JsonlTrace, MemoryTrace, MetricsRegistry, NoopTrace, RegistrySink,
-        TraceEvent, TraceSink,
+        beta_cache_hit_ratio, Counter, Gauge, Histogram, JsonlTrace, MemoryTrace, MetricsRegistry,
+        NoopTrace, RegistrySink, TraceEvent, TraceSink,
     };
     pub use crate::time::Instant;
     pub use crate::tuple::Tuple;

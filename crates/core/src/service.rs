@@ -230,92 +230,14 @@ impl<I: Invoker + ?Sized> Invoker for Arc<I> {
     }
 }
 
-/// One middleware layer of an [`InvokerStack`]: consumes the invoker built
-/// so far and returns the decorated one.
-///
-/// Any `FnOnce(Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a>` closure is a
-/// layer, so decorators expose a `layer(...)` constructor returning such a
-/// closure instead of hand-nesting wrappers:
-///
-/// ```
-/// use serena_core::service::{fixtures::example_registry, Invoker, InvokerStack};
-/// use serena_core::telemetry::InstrumentedLayer;
-///
-/// let base = example_registry();
-/// let stack = InvokerStack::new(&base).layer(InstrumentedLayer::new());
-/// assert!(!stack.providers_of("getTemperature").is_empty());
-/// ```
-pub trait InvokerLayer<'a> {
-    /// Wrap `inner`, returning the decorated invoker.
-    fn wrap(self, inner: Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a>;
-}
-
-impl<'a, F> InvokerLayer<'a> for F
-where
-    F: FnOnce(Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a>,
-{
-    fn wrap(self, inner: Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a> {
-        self(inner)
-    }
-}
-
-/// A composable middleware stack over an [`Invoker`]: a base invoker plus
-/// zero or more [`InvokerLayer`]s applied bottom-up, so the **last** layer
-/// added is the outermost decorator (the first to see each call).
-///
-/// The stack replaces ad-hoc hand-nesting of decorators (instrumentation,
-/// simulated latency, resilience): each decorator contributes a layer and
-/// callers assemble them uniformly with [`InvokerStack::layer`]. The stack
-/// itself implements [`Invoker`], so it drops in anywhere an invoker is
-/// expected.
-pub struct InvokerStack<'a> {
-    top: Box<dyn Invoker + 'a>,
-}
-
-impl<'a> InvokerStack<'a> {
-    /// A stack holding just the base invoker.
-    pub fn new(base: impl Invoker + 'a) -> Self {
-        InvokerStack {
-            top: Box::new(base),
-        }
-    }
-
-    /// Add `layer` as the new outermost decorator.
-    pub fn layer(self, layer: impl InvokerLayer<'a>) -> Self {
-        InvokerStack {
-            top: layer.wrap(self.top),
-        }
-    }
-
-    /// Unwrap into the composed invoker.
-    pub fn into_inner(self) -> Box<dyn Invoker + 'a> {
-        self.top
-    }
-}
-
-impl Invoker for InvokerStack<'_> {
-    fn invoke(
-        &self,
-        prototype: &Prototype,
-        service_ref: &ServiceRef,
-        input: &Tuple,
-        at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        self.top.invoke(prototype, service_ref, input, at)
-    }
-
-    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        self.top.providers_of(prototype)
-    }
-}
-
 /// Run one invocation with panic containment: a panicking service becomes
 /// [`EvalError::Panicked`] instead of unwinding into (and aborting) the
-/// execution engine. Used by the β batch executor and by
-/// [`CatchPanicInvoker`]; string panic payloads are preserved as the
+/// execution engine. Used by the β batch executor and by the β pipeline
+/// in `serena-services`; string panic payloads are preserved as the
 /// error's `reason`.
-pub fn invoke_contained(
-    invoker: &dyn Invoker,
+#[inline]
+pub fn invoke_contained<I: Invoker + ?Sized>(
+    invoker: &I,
     prototype: &Prototype,
     service_ref: &ServiceRef,
     input: &Tuple,
@@ -340,58 +262,6 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
         (*s).to_string()
     } else {
         "<non-string panic>".to_string()
-    }
-}
-
-/// An [`Invoker`] decorator containing panics: any panic raised by the
-/// wrapped invoker (typically a buggy service implementation) is caught and
-/// surfaced as [`EvalError::Panicked`]. Placed *innermost* in an
-/// [`InvokerStack`] — directly over the registry — so outer layers
-/// (instrumentation, health, resilience) observe the panic as an ordinary
-/// invocation error.
-pub struct CatchPanicInvoker<I> {
-    inner: I,
-}
-
-impl<I: Invoker> CatchPanicInvoker<I> {
-    /// Wrap `inner` with panic containment.
-    pub fn new(inner: I) -> Self {
-        CatchPanicInvoker { inner }
-    }
-}
-
-impl<I: Invoker> Invoker for CatchPanicInvoker<I> {
-    fn invoke(
-        &self,
-        prototype: &Prototype,
-        service_ref: &ServiceRef,
-        input: &Tuple,
-        at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        invoke_contained(&self.inner, prototype, service_ref, input, at)
-    }
-
-    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        self.inner.providers_of(prototype)
-    }
-}
-
-/// The [`InvokerLayer`] form of [`CatchPanicInvoker`]. Add it *first* when
-/// building a stack so it wraps the base registry and every outer layer
-/// sees contained panics as errors.
-#[derive(Default, Clone, Copy)]
-pub struct CatchPanicLayer;
-
-impl CatchPanicLayer {
-    /// The layer (unit struct; exists for call-site symmetry).
-    pub fn new() -> Self {
-        CatchPanicLayer
-    }
-}
-
-impl<'a> InvokerLayer<'a> for CatchPanicLayer {
-    fn wrap(self, inner: Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a> {
-        Box::new(CatchPanicInvoker::new(inner))
     }
 }
 
@@ -779,62 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn invoker_stack_layers_apply_outermost_last() {
-        use crate::sync::Mutex;
-        // a layer that logs its tag on every call — order of tags shows
-        // which decorator is outermost
-        struct Tagger<'a> {
-            inner: Box<dyn Invoker + 'a>,
-            tag: &'static str,
-            log: &'a Mutex<Vec<&'static str>>,
-        }
-        impl Invoker for Tagger<'_> {
-            fn invoke(
-                &self,
-                prototype: &Prototype,
-                service_ref: &ServiceRef,
-                input: &Tuple,
-                at: Instant,
-            ) -> Result<Vec<Tuple>, EvalError> {
-                self.log.lock().push(self.tag);
-                self.inner.invoke(prototype, service_ref, input, at)
-            }
-            fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-                self.inner.providers_of(prototype)
-            }
-        }
-        let log = Mutex::new(Vec::new());
-        let base = example_registry();
-        let stack = InvokerStack::new(&base)
-            .layer(|inner| {
-                Box::new(Tagger {
-                    inner,
-                    tag: "inner",
-                    log: &log,
-                }) as Box<dyn Invoker + '_>
-            })
-            .layer(|inner| {
-                Box::new(Tagger {
-                    inner,
-                    tag: "outer",
-                    log: &log,
-                }) as Box<dyn Invoker + '_>
-            });
-        let out = stack
-            .invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("sensor01"),
-                &Tuple::empty(),
-                Instant(1),
-            )
-            .unwrap();
-        assert_eq!(out.len(), 1);
-        // last layer added sees the call first
-        assert_eq!(*log.lock(), vec!["outer", "inner"]);
-        assert_eq!(stack.providers_of("getTemperature").len(), 4);
-    }
-
-    #[test]
     fn invoker_blanket_impls_delegate() {
         use std::sync::Arc as StdArc;
         let base = example_registry();
@@ -854,52 +668,6 @@ mod tests {
         assert_eq!(call(&boxed), direct);
         let arced: StdArc<dyn Invoker> = StdArc::new(example_registry());
         assert_eq!(call(&arced), direct);
-    }
-
-    #[test]
-    fn catch_panic_layer_contains_service_panics() {
-        let reg = StaticRegistry::new();
-        reg.register("boom", panicking_sensor());
-        reg.register("sensor01", temperature_sensor(1));
-        let stack = InvokerStack::new(&reg).layer(CatchPanicLayer::new());
-
-        // silence the default panic hook's stderr backtrace for this test
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let err = stack
-            .invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("boom"),
-                &Tuple::empty(),
-                Instant(1),
-            )
-            .unwrap_err();
-        std::panic::set_hook(prev);
-
-        match err {
-            EvalError::Panicked {
-                service,
-                prototype,
-                reason,
-            } => {
-                assert_eq!(service, "boom");
-                assert_eq!(prototype, "getTemperature");
-                assert_eq!(reason, "sensor firmware bug");
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        // the invoker is still usable after the contained panic
-        let out = stack
-            .invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("sensor01"),
-                &Tuple::empty(),
-                Instant(1),
-            )
-            .unwrap();
-        assert_eq!(out.len(), 1);
-        // discovery passes through
-        assert_eq!(stack.providers_of("getTemperature").len(), 2);
     }
 
     #[test]

@@ -12,9 +12,6 @@
 //! * [`sink`] — [`RegistrySink`], bridging per-operator observations into
 //!   per-`OpKind` wall-time histograms, tuple counters and β-cache
 //!   counters;
-//! * [`invoker`] — [`InstrumentedInvoker`], measuring every β service
-//!   call (per-service latency histograms, failure counters) and feeding
-//!   [`InvocationObserver`]s such as service-health trackers;
 //! * [`trace`] — span-style [`TraceEvent`]s (query registered, tick
 //!   start/end, invocation, failure) behind a [`TraceSink`], with a JSONL
 //!   writer ([`JsonlTrace`]) for machine-readable export;
@@ -25,18 +22,17 @@
 //!
 //! Everything here is optional and composable: executors keep talking to
 //! the `MetricsSink`/`Invoker` traits they already know; telemetry attaches
-//! by decoration (a `Tee` to a [`RegistrySink`], an [`InstrumentedInvoker`]
-//! around the service registry).
+//! by decoration (a `Tee` to a [`RegistrySink`]). Per-service β call
+//! series (latency, calls, failures) are fed by the β pipeline in
+//! `serena-services`, which records one outcome per physical attempt.
 
 pub mod histogram;
-pub mod invoker;
 pub mod registry;
 pub mod sink;
 pub mod span;
 pub mod trace;
 
 pub use histogram::Histogram;
-pub use invoker::{InstrumentedInvoker, InstrumentedLayer, InvocationObserver};
 pub use registry::{Counter, Gauge, MetricsRegistry};
 pub use sink::{beta_cache_hit_ratio, RegistrySink};
 pub use span::{chrome_trace, ActiveSpan, AttrValue, FlightRecorder, SpanRecord};

@@ -529,7 +529,7 @@ pub enum QueryTemplate {
     /// The discovered-sensor inventory: `sensors` as a changing relation.
     SensorInventory,
     /// Live sampling: `βˢ_{getTemperature[sensor], every}(sensors)` —
-    /// exercises the β invoker stack (and its parallelism) per tick.
+    /// exercises the β pipeline (and its parallelism) per tick.
     SampledTemperatures {
         /// Re-invocation period in instants.
         every: u64,

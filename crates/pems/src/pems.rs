@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use serena_core::dedup::{DedupLayer, DedupState};
+use serena_core::dedup::DedupState;
 use serena_core::env::Environment;
 use serena_core::error::{EvalError, PlanError, SchemaError};
 use serena_core::eval::EvalOutcome;
@@ -23,11 +23,9 @@ use serena_core::exec::{explain_analyze_text, ExecContext};
 use serena_core::metrics::{ExecStats, MetricsSink, NoopMetrics, Tee};
 use serena_core::physical::ExecOptions;
 use serena_core::plan::Plan;
-use serena_core::service::{CatchPanicLayer, Invoker, InvokerStack};
 use serena_core::snapshot::{self, Reader, SnapshotError, Writer};
 use serena_core::telemetry::{
-    chrome_trace, FlightRecorder, InstrumentedLayer, MetricsRegistry, NoopTrace, RegistrySink,
-    SpanRecord, TraceSink,
+    chrome_trace, FlightRecorder, MetricsRegistry, NoopTrace, RegistrySink, SpanRecord, TraceSink,
 };
 use serena_core::time::Instant;
 use serena_core::value::ServiceRef;
@@ -41,9 +39,10 @@ use serena_services::directory::{NodeDirectory, PeerStatus};
 use serena_services::discovery::DiscoveryQuery;
 use serena_services::health::{HealthTracker, ServiceHealth};
 use serena_services::node::{NodeHandle, RemoteNodeClient, ServiceNode};
+use serena_services::pipeline::{BetaPipeline, BetaTelemetry};
 use serena_services::registry::DynamicRegistry;
 use serena_services::resilience::{
-    BreakerState, ResilienceCounters, ResiliencePolicy, ResilienceState, ResilientLayer,
+    BreakerState, ResilienceCounters, ResiliencePolicy, ResilienceState,
 };
 use serena_services::transport::{Transport, TransportError};
 use serena_stream::exec::TickReport;
@@ -180,7 +179,7 @@ pub struct PemsBuilder {
     resilience: ResiliencePolicy,
     checkpoint: Option<(PathBuf, u64)>,
     scheduler: Option<SchedulerConfig>,
-    dedup: Option<bool>,
+    dedup: bool,
     tracing: Option<bool>,
     adaptive: Option<ReplanPolicy>,
 }
@@ -188,8 +187,8 @@ pub struct PemsBuilder {
 impl PemsBuilder {
     /// Defaults: default bus latency, clock at zero, no metrics sink,
     /// serial execution, no trace sink, default health window, resilience
-    /// disabled, scheduler and β dedup from the environment
-    /// (`SERENA_SCHED_WORKERS` / `SERENA_SCHED_DEDUP`).
+    /// disabled, β dedup armed, scheduler from the environment
+    /// (`SERENA_SCHED_WORKERS`).
     pub fn new() -> Self {
         PemsBuilder {
             bus: BusConfig::default(),
@@ -202,7 +201,7 @@ impl PemsBuilder {
             resilience: ResiliencePolicy::disabled(),
             checkpoint: None,
             scheduler: None,
-            dedup: None,
+            dedup: true,
             tracing: None,
             adaptive: None,
         }
@@ -261,9 +260,9 @@ impl PemsBuilder {
     /// Resilience policy applied to every β invocation (one-shot and
     /// continuous): per-service deadline, bounded retry with jittered
     /// exponential backoff, and a circuit breaker. Disabled by default —
-    /// a disabled policy adds no layer to the invoker stack. Pair with
-    /// [`ExecOptions::with_degrade`] (via [`Self::exec_options`]) to let
-    /// queries survive the failures that remain after retries.
+    /// under a disabled policy the β pipeline makes one attempt per call.
+    /// Pair with [`ExecOptions::with_degrade`] (via [`Self::exec_options`])
+    /// to let queries survive the failures that remain after retries.
     pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
         self.resilience = policy;
         self
@@ -290,14 +289,13 @@ impl PemsBuilder {
         self
     }
 
-    /// Arm or disarm the cross-query β dedup layer
-    /// ([`serena_core::dedup::DedupLayer`]): identical `(service, args)`
-    /// invocations issued by different queries within one instant coalesce
-    /// into a single upstream call. Sound because services are
-    /// deterministic at an instant (§3.2). Defaults to the
-    /// `SERENA_SCHED_DEDUP` environment variable (`0` disables), else on.
+    /// Arm or disarm the β pipeline's cross-query dedup stage
+    /// ([`serena_core::dedup`]): identical `(service, args)` invocations
+    /// issued by different queries within one instant coalesce into a
+    /// single upstream call. Sound because services are deterministic at
+    /// an instant (§3.2). On by default.
     pub fn dedup(mut self, enabled: bool) -> Self {
-        self.dedup = Some(enabled);
+        self.dedup = enabled;
         self
     }
 
@@ -337,6 +335,7 @@ impl PemsBuilder {
         let erm = CoreErm::new(Arc::clone(&bus));
         let telemetry = Arc::new(MetricsRegistry::new());
         let telemetry_sink = RegistrySink::new(&telemetry);
+        let beta_trace = self.trace.clone();
         let trace: Arc<dyn TraceSink> = self.trace.unwrap_or_else(|| Arc::new(NoopTrace));
         let tracer = Arc::new(FlightRecorder::from_env());
         if let Some(on) = self.tracing {
@@ -347,9 +346,6 @@ impl PemsBuilder {
         processor.set_telemetry(Arc::clone(&telemetry), Arc::clone(&trace));
         processor.set_scheduler(self.scheduler.unwrap_or_else(SchedulerConfig::from_env));
         processor.set_tracer(Arc::clone(&tracer));
-        let dedup_enabled = self
-            .dedup
-            .unwrap_or_else(|| std::env::var("SERENA_SCHED_DEDUP").map_or(true, |v| v != "0"));
         // Eagerly register the scheduler/dedup series so they render (at
         // zero) from the first `.metrics` call, armed or not.
         telemetry.counter("serena_sched_steals_total", &[]);
@@ -372,6 +368,13 @@ impl PemsBuilder {
             self.node_id,
             Arc::clone(erm.registry()),
         ));
+        let health = Arc::new(HealthTracker::new(self.health_window));
+        let beta = BetaTelemetry::new(
+            Arc::clone(&telemetry),
+            Arc::clone(&health),
+            Arc::clone(&tracer),
+            beta_trace,
+        );
         Pems {
             bus,
             erm,
@@ -385,12 +388,13 @@ impl PemsBuilder {
             exec_options: self.exec_options,
             telemetry,
             telemetry_sink,
-            health: Arc::new(HealthTracker::new(self.health_window)),
+            health,
             trace,
             resilience_policy: self.resilience,
-            resilience: Arc::new(ResilienceState::new()),
-            dedup: Arc::new(DedupState::new()),
-            dedup_enabled,
+            resilience: ResilienceState::new(),
+            dedup: DedupState::new(),
+            dedup_enabled: self.dedup,
+            beta,
             recovery: self
                 .checkpoint
                 .map(|(dir, every)| RecoveryManager::new(dir, every)),
@@ -430,23 +434,25 @@ pub struct Pems {
     health: Arc<HealthTracker>,
     /// Structured trace sink ([`NoopTrace`] unless configured).
     trace: Arc<dyn TraceSink>,
-    /// Resilience policy the invoker stack is built with.
+    /// Resilience policy every β pipeline applies.
     resilience_policy: ResiliencePolicy,
-    /// Breakers and retry/timeout counters, shared across rebuilt stacks.
-    resilience: Arc<ResilienceState>,
-    /// Cross-query β dedup memo + counters, shared across rebuilt stacks
-    /// (the memo is per-instant; the counters are cumulative).
-    dedup: Arc<DedupState>,
-    /// Whether the dedup layer is armed ([`PemsBuilder::dedup`] /
-    /// `SERENA_SCHED_DEDUP`).
+    /// Breakers and retry/timeout counters, shared by every β pipeline.
+    resilience: ResilienceState,
+    /// Cross-query β dedup memo + counters (the memo is per-instant; the
+    /// counters are cumulative).
+    dedup: DedupState,
+    /// Whether tick pipelines dedup ([`PemsBuilder::dedup`] /
+    /// [`Pems::set_dedup`]).
     dedup_enabled: bool,
+    /// What every β pipeline reports to: series, health, spans, trace.
+    beta: BetaTelemetry,
     /// Periodic checkpoint writer, when configured via
     /// [`PemsBuilder::checkpoint`].
     recovery: Option<RecoveryManager>,
     /// Size of the last snapshot, used to preallocate the next one.
     snapshot_size_hint: std::sync::atomic::AtomicUsize,
     /// Hierarchical span tracer: bounded in-memory flight recorder shared
-    /// by the scheduler, the stream executor and the β invoker stack.
+    /// by the scheduler, the stream executor and the β pipeline.
     tracer: Arc<FlightRecorder>,
     /// Recorder drop count already published to
     /// `serena_trace_dropped_total` (the counter is monotone; the recorder
@@ -578,33 +584,26 @@ impl Pems {
         self.resilience.breakers()
     }
 
-    /// The resilience policy the invoker stack is built with.
+    /// The resilience policy every β pipeline applies.
     pub fn resilience_policy(&self) -> ResiliencePolicy {
         self.resilience_policy
     }
 
-    /// The full β invoker stack for *one-shot* evaluations — see
-    /// [`build_invoker_stack`]. One-shots run between ticks and must
-    /// observe registry hot-swaps immediately, so the cross-query dedup
-    /// memo (valid only within one atomic tick round, where the registry
-    /// is stable) is never armed here.
-    fn invoker_stack<'r>(&'r self, registry: &'r DynamicRegistry) -> Box<dyn Invoker + 'r> {
-        build_invoker_stack(
-            registry,
-            &self.telemetry,
-            &self.health,
-            &*self.trace,
-            &self.tracer,
-            self.resilience_policy,
-            Arc::clone(&self.resilience),
-            Arc::clone(&self.dedup),
-            false,
-        )
+    /// The β pipeline for *one-shot* evaluations. One-shots run between
+    /// ticks and must observe registry hot-swaps immediately, so the
+    /// cross-query dedup memo (valid only within one atomic tick round,
+    /// where the registry is stable) is never attached here.
+    fn one_shot_pipeline<'r>(
+        &'r self,
+        registry: &'r DynamicRegistry,
+    ) -> BetaPipeline<'r, &'r DynamicRegistry> {
+        BetaPipeline::new(registry, self.resilience_policy, &self.resilience)
+            .with_telemetry(&self.beta)
     }
 
     /// Cumulative cross-query β dedup counters: `(hits, misses)` — calls
     /// served without an upstream invocation vs. upstream calls actually
-    /// performed through the dedup layer. Both zero when dedup is
+    /// performed by the dedup stage. Both zero when dedup is
     /// disarmed.
     pub fn dedup_stats(&self) -> (u64, u64) {
         (self.dedup.hits(), self.dedup.misses())
@@ -741,7 +740,7 @@ impl Pems {
         self.processor.set_scheduler(config);
     }
 
-    /// Arm or disarm the cross-query β dedup layer on a built runtime.
+    /// Arm or disarm the β pipeline's cross-query dedup on a built runtime.
     pub fn set_dedup(&mut self, enabled: bool) {
         self.dedup_enabled = enabled;
     }
@@ -964,9 +963,9 @@ impl Pems {
     ) -> Result<EvalOutcome, PemsError> {
         let env = self.snapshot_environment();
         let registry = Arc::clone(self.erm.registry());
-        let invoker = self.invoker_stack(&registry);
+        let invoker = self.one_shot_pipeline(&registry);
         let tee = Tee(&self.telemetry_sink, sink);
-        let ctx = ExecContext::with_metrics(&env, &*invoker, self.clock(), &tee)
+        let ctx = ExecContext::with_metrics(&env, &invoker, self.clock(), &tee)
             .with_options(self.exec_options);
         Ok(ctx.execute(plan)?)
     }
@@ -1137,25 +1136,18 @@ impl Pems {
                 handle.replace_with(rel.into_tuples());
             }
         }
-        // 3. evaluate every continuous query at `now`, through the same
-        // instrumented + resilient stack one-shot queries use (disjoint
-        // field borrows: the stack must not borrow all of `self` while the
-        // processor ticks mutably)
-        let invoker = build_invoker_stack(
-            &registry,
-            &self.telemetry,
-            &self.health,
-            &*self.trace,
-            &self.tracer,
-            self.resilience_policy,
-            Arc::clone(&self.resilience),
-            Arc::clone(&self.dedup),
-            self.dedup_enabled,
-        );
+        // 3. evaluate every continuous query at `now`, through the β
+        // pipeline one-shot queries use plus cross-query dedup (disjoint
+        // field borrows: the pipeline must not borrow all of `self` while
+        // the processor ticks mutably)
+        let mut invoker = BetaPipeline::new(&*registry, self.resilience_policy, &self.resilience)
+            .with_telemetry(&self.beta);
+        if self.dedup_enabled {
+            invoker = invoker.with_dedup(&self.dedup);
+        }
         let reports = self
             .processor
-            .tick_all_with(&*invoker, &Tee(&self.telemetry_sink, &*self.metrics));
-        drop(invoker);
+            .tick_all_with(&invoker, &Tee(&self.telemetry_sink, &*self.metrics));
         // 3½. adaptive re-optimization: evaluate the replan triggers
         // against this tick's instant-scoped telemetry and hot-swap any
         // query whose measured-cost ranking changed. Runs before the
@@ -1474,17 +1466,6 @@ impl Pems {
     }
 }
 
-/// The full β invoker stack: registry → panic containment (innermost, so
-/// a panicking service body becomes an [`EvalError::Panicked`] every outer
-/// layer sees as an ordinary failure) → instrumentation (metrics, health,
-/// trace) → resilience (retry/deadline/breaker, so every retry attempt is
-/// individually observed and counted) → cross-query β dedup (outermost:
-/// only the *first* logical caller of a `(service, args)` key at an
-/// instant descends into resilience and performs — possibly retries — the
-/// upstream call; coalesced callers share its final result and are
-/// counted in `serena_beta_dedup_total`). The resilient layer is a no-op
-/// pass-through when `policy` is disabled, the dedup layer when
-/// `dedup_enabled` is false.
 /// Render [`Pems::profile`]'s report from a flight-recorder snapshot:
 /// tick timeline, slowest operators by total self time (parent-chain
 /// ownership walk, tolerant of evicted ancestors), and the p99 tick with
@@ -1585,43 +1566,6 @@ fn profile_text(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_invoker_stack<'r>(
-    registry: &'r DynamicRegistry,
-    telemetry: &'r Arc<MetricsRegistry>,
-    health: &'r HealthTracker,
-    trace: &'r dyn TraceSink,
-    tracer: &'r Arc<FlightRecorder>,
-    policy: ResiliencePolicy,
-    state: Arc<ResilienceState>,
-    dedup: Arc<DedupState>,
-    dedup_enabled: bool,
-) -> Box<dyn Invoker + 'r> {
-    InvokerStack::new(registry)
-        .layer(CatchPanicLayer::new())
-        .layer(
-            InstrumentedLayer::new()
-                .registry(telemetry.as_ref())
-                .observer(health)
-                .trace(trace)
-                .tracer(tracer.as_ref()),
-        )
-        .layer(
-            ResilientLayer::new(policy, state)
-                .health(health)
-                .registry(telemetry.as_ref())
-                .tracer(tracer.as_ref())
-                .trace(trace),
-        )
-        .layer(
-            DedupLayer::new(dedup)
-                .registry(Arc::clone(telemetry))
-                .enabled(dedup_enabled)
-                .tracer(Arc::clone(tracer)),
-        )
-        .into_inner()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1715,6 +1659,37 @@ mod tests {
         lerm.unregister_service("sensor01", pems.clock());
         let reports = pems.tick();
         assert_eq!(reports[0].1.delta.deletes.len(), 1);
+    }
+
+    #[test]
+    fn one_shots_over_an_uncommitted_discovery_table_see_every_provider() {
+        // no continuous query reads `cameras`, so no tick ever commits the
+        // discovery refresh: one-shots read the projected contents
+        let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+        pems.run_program(
+            "PROTOTYPE checkPhoto( area STRING ) : ( quality INTEGER, delay REAL );
+             EXTENDED RELATION cameras (
+               camera SERVICE, area STRING, quality INTEGER VIRTUAL, delay REAL VIRTUAL
+             ) USING BINDING PATTERNS ( checkPhoto[camera] ( area ) : ( quality, delay ) );",
+        )
+        .unwrap();
+        pems.register_discovery("cameras", "checkPhoto", "camera")
+            .unwrap();
+        for i in 0..4u64 {
+            let name = format!("camera{i:02}");
+            pems.directory()
+                .register(name.as_str(), serena_core::service::fixtures::camera(i));
+            pems.directory().set(name, "area", Value::str("office"));
+        }
+        for _ in 0..4 {
+            pems.tick();
+            let ExecOutcome::OneShot(out) =
+                pems.run_sql(None, "SELECT camera FROM cameras;").unwrap()
+            else {
+                panic!("a SELECT over a finite table is a one-shot")
+            };
+            assert_eq!(out.relation.len(), 4);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   yields typed [`DirectoryEvent`]s;
 //! * **metadata** — the discovery attribute store;
 //! * **invocation** — `ServiceDirectory: Invoker`, so a directory drops
-//!   into the β executor and the whole `InvokerStack` unchanged.
+//!   into the β executor and under the β pipeline unchanged.
 //!
 //! [`NodeDirectory`] is the one implementation: a node id, the node's
 //! registry + metadata, an append-only event log peers poll, and links

@@ -13,7 +13,7 @@ use serena_core::sync::Mutex;
 
 use serena_core::error::EvalError;
 use serena_core::prototype::Prototype;
-use serena_core::service::{Invoker, InvokerLayer, Service};
+use serena_core::service::{Invoker, Service};
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::ServiceRef;
@@ -157,17 +157,6 @@ impl<I: Invoker> SlowInvoker<I> {
     }
 }
 
-impl<'a> SlowInvoker<Box<dyn Invoker + 'a>> {
-    /// The [`InvokerLayer`] form, for use with
-    /// [`InvokerStack`](serena_core::service::InvokerStack):
-    /// `InvokerStack::new(base).layer(SlowInvoker::layer(latency))`.
-    pub fn layer(latency: Duration) -> impl InvokerLayer<'a> {
-        move |inner: Box<dyn Invoker + 'a>| -> Box<dyn Invoker + 'a> {
-            Box::new(SlowInvoker::new(inner, latency))
-        }
-    }
-}
-
 impl<I: Invoker> Invoker for SlowInvoker<I> {
     fn invoke(
         &self,
@@ -304,22 +293,6 @@ mod tests {
             3,
         );
         assert!(outcomes.iter().all(|ok| !*ok));
-    }
-
-    #[test]
-    fn slow_invoker_as_layer_composes() {
-        use serena_core::service::InvokerStack;
-        let reg = fixtures::example_registry();
-        let stack = InvokerStack::new(reg).layer(SlowInvoker::layer(Duration::from_millis(1)));
-        let out = stack
-            .invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("sensor01"),
-                &Tuple::empty(),
-                Instant(0),
-            )
-            .unwrap();
-        assert_eq!(out.len(), 1);
     }
 
     #[test]

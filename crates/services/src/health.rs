@@ -2,9 +2,8 @@
 //!
 //! The paper's robustness concern (§5.2) is exactly this: services in a
 //! pervasive environment come and go, fail intermittently, and the system
-//! must keep answering. A [`HealthTracker`] implements
-//! [`serena_core::telemetry::InvocationObserver`] — plug it into an
-//! [`serena_core::telemetry::InstrumentedInvoker`] and every β invocation
+//! must keep answering. Hand a [`HealthTracker`] to the β pipeline's
+//! [`BetaTelemetry`](crate::pipeline::BetaTelemetry) and every β attempt's
 //! outcome (including injected [`crate::faults::FaultyService`] errors)
 //! updates a per-[`ServiceRef`] record: total attempts/failures, the
 //! **rolling failure rate** over the last [`HealthTracker::window`]
@@ -14,12 +13,9 @@
 //! the shell's `\health` command.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Duration;
 
-use serena_core::error::EvalError;
 use serena_core::snapshot::{Reader, SnapshotError, Writer};
 use serena_core::sync::Mutex;
-use serena_core::telemetry::InvocationObserver;
 use serena_core::time::Instant;
 use serena_core::value::ServiceRef;
 
@@ -125,8 +121,8 @@ impl HealthTracker {
         self.window
     }
 
-    /// Record one outcome directly (the [`InvocationObserver`] impl calls
-    /// this; tests may too).
+    /// Record one outcome (`error` is `None` on success) — the β pipeline
+    /// calls this once per attempt; tests may too.
     pub fn record(&self, service: &ServiceRef, at: Instant, error: Option<&str>) {
         let mut entries = self.entries.lock();
         let e = entries.entry(service.clone()).or_default();
@@ -269,29 +265,18 @@ fn snapshot(reference: ServiceRef, e: &HealthEntry) -> ServiceHealth {
     }
 }
 
-impl InvocationObserver for HealthTracker {
-    fn observe_invocation(
-        &self,
-        service: &ServiceRef,
-        _prototype: &str,
-        at: Instant,
-        _latency: Duration,
-        error: Option<&EvalError>,
-    ) {
-        let message = error.map(|e| e.to_string());
-        self.record(service, at, message.as_deref());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::{FaultPolicy, FaultyService};
+    use crate::pipeline::{BetaPipeline, BetaTelemetry};
     use crate::registry::DynamicRegistry;
+    use crate::resilience::{ResiliencePolicy, ResilienceState};
     use serena_core::prototype::examples as protos;
     use serena_core::service::{fixtures, Invoker};
-    use serena_core::telemetry::InstrumentedInvoker;
+    use serena_core::telemetry::{FlightRecorder, MetricsRegistry};
     use serena_core::tuple::Tuple;
+    use std::sync::Arc;
 
     #[test]
     fn rolling_window_and_consecutive_errors() {
@@ -334,8 +319,16 @@ mod tests {
         let reg = DynamicRegistry::new();
         reg.register("flaky", faulty.clone());
 
-        let tracker = HealthTracker::new(16);
-        let invoker = InstrumentedInvoker::new(&reg).with_observer(&tracker);
+        let tracker = Arc::new(HealthTracker::new(16));
+        let telemetry = BetaTelemetry::new(
+            Arc::new(MetricsRegistry::new()),
+            Arc::clone(&tracker),
+            Arc::new(FlightRecorder::default()),
+            None,
+        );
+        let state = ResilienceState::new();
+        let invoker = BetaPipeline::new(&reg, ResiliencePolicy::disabled(), &state)
+            .with_telemetry(&telemetry);
         let sref = ServiceRef::new("flaky");
         for t in 0..16u64 {
             let _ = invoker.invoke(

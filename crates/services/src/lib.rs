@@ -27,12 +27,15 @@
 //!   environments: zipf-skewed per-service latency and failure draws, all
 //!   pure functions of `(seed, index)`;
 //! * [`health`] — rolling per-service health (failure rate,
-//!   consecutive-error count, last-seen instant) fed by invocation
-//!   outcomes through [`serena_core::telemetry::InvocationObserver`];
-//! * [`resilience`] — the β resilience middleware: per-service deadline,
-//!   bounded retry with jittered exponential backoff, and a
-//!   health-informed circuit breaker, composable onto any invoker via
-//!   [`serena_core::service::InvokerStack`];
+//!   consecutive-error count, last-seen instant) fed by one outcome per β
+//!   attempt;
+//! * [`resilience`] — the β resilience policy and state: per-service
+//!   deadline, bounded retry with jittered exponential backoff, and a
+//!   health-informed circuit breaker;
+//! * [`pipeline`] — the β pipeline ([`BetaPipeline`]): the one path from
+//!   the β operator to a service — cross-query dedup, breaker, retries,
+//!   panic containment and instrumentation as fixed stages over the
+//!   registry;
 //! * [`discovery`] — turning "which services implement prototype ψ?" into
 //!   X-Relation rows, the data backing the PEMS service-discovery queries;
 //! * [`directory`] — the unified, transport-agnostic [`ServiceDirectory`]
@@ -59,6 +62,7 @@ pub mod faults;
 pub mod fleet;
 pub mod health;
 pub mod node;
+pub mod pipeline;
 pub mod registry;
 pub mod resilience;
 pub mod transport;
@@ -67,9 +71,7 @@ pub use bus::{BusConfig, CoreErm, DiscoveryBus, LocalErm};
 pub use directory::{DirectoryEvent, NodeDirectory, PeerStatus, ServiceDirectory};
 pub use health::{HealthStatus, HealthTracker, ServiceHealth};
 pub use node::{NodeHandle, RemoteNodeClient, RemoteService, ServiceNode};
+pub use pipeline::{BetaPipeline, BetaTelemetry};
 pub use registry::{DynamicRegistry, RegistryEvent};
-pub use resilience::{
-    BreakerState, ResilienceCounters, ResiliencePolicy, ResilienceState, ResilientInvoker,
-    ResilientLayer,
-};
+pub use resilience::{BreakerState, ResilienceCounters, ResiliencePolicy, ResilienceState};
 pub use transport::{Frame, InProcTransport, SocketTransport, Transport, TransportError};

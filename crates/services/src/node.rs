@@ -9,10 +9,11 @@
 //!   request helpers;
 //! * [`RemoteService`] is the local proxy for one advertised remote
 //!   service. It implements [`Service`], so it registers into the local
-//!   directory like any device — β calls to it traverse the *entire*
-//!   existing `InvokerStack` (deadlines, retries, circuit breakers,
-//!   dedup, telemetry) before crossing the wire, which is how PR 4's
-//!   resilience policies come to govern real network latency.
+//!   directory like any device — β calls to it traverse the *entire* β
+//!   pipeline ([`BetaPipeline`](crate::pipeline::BetaPipeline): dedup,
+//!   circuit breakers, retries, deadlines, telemetry) before crossing the
+//!   wire, which is how the resilience policies come to govern real
+//!   network latency.
 //!
 //! Server-side invocation errors are relayed *structurally*
 //! ([`InvokeFault::Relayed`]): a `Panicked` on the hosting node is a
@@ -483,8 +484,8 @@ fn handle_invoke(
             prototype: prototype.to_string(),
         })?;
     // contain panics here so a panicking device on this node relays as
-    // `Panicked` — byte-identical to what a local caller's
-    // CatchPanicLayer would produce
+    // `Panicked` — byte-identical to what a local caller's β pipeline
+    // would produce
     invoke_contained(&**directory as &dyn Invoker, &proto, service, input, at)
 }
 

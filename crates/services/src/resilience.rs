@@ -1,56 +1,53 @@
-//! The resilience layer for β invocations: deadline, retry/backoff,
-//! circuit breaking.
+//! Resilience for β invocations: deadline, retry/backoff, circuit
+//! breaking.
 //!
 //! The paper's services are "dynamic, volatile" (§2.1) and §5.2 calls for
 //! robustness experiments — yet a raw [`Invoker`] surfaces every transient
-//! fault straight into the query. [`ResilientInvoker`] is an
-//! [`InvokerLayer`] that wraps any invoker with three independent,
-//! per-service mechanisms, all configured by a [`ResiliencePolicy`]:
+//! fault straight into the query. The β pipeline
+//! ([`BetaPipeline`](crate::pipeline::BetaPipeline)) runs three
+//! independent, per-service mechanisms around every call, all configured
+//! by a [`ResiliencePolicy`]:
 //!
-//! * **deadline** — invocations taking longer than
+//! * **deadline** — attempts taking longer than
 //!   [`ResiliencePolicy::deadline`] are converted into
 //!   [`EvalError::DeadlineExceeded`] (a *soft* deadline: the call is not
 //!   cancelled, its late result is discarded);
 //! * **retry with backoff** — errors classified transient
-//!   ([`EvalError::InvocationFailed`], [`EvalError::DeadlineExceeded`]) are
-//!   retried up to [`ResiliencePolicy::max_retries`] times, sleeping an
-//!   exponentially growing, deterministically jittered backoff between
-//!   attempts;
+//!   ([`EvalError::InvocationFailed`], [`EvalError::DeadlineExceeded`],
+//!   [`EvalError::RemoteUnavailable`]) are retried up to
+//!   [`ResiliencePolicy::max_retries`] times, sleeping an exponentially
+//!   growing, deterministically jittered backoff between attempts;
 //! * **circuit breaking** — after
 //!   [`ResiliencePolicy::breaker_threshold`] consecutive failures (the
-//!   larger of the layer's own count and the [`HealthTracker`]'s view, when
-//!   one is attached) the service's breaker opens: calls fail fast with
+//!   larger of the breaker's own count and the
+//!   [`HealthTracker`](crate::health::HealthTracker)'s view, when the
+//!   pipeline has telemetry) the
+//!   service's breaker opens: calls fail fast with
 //!   [`EvalError::CircuitOpen`] without touching the service, until
 //!   [`ResiliencePolicy::breaker_cooldown`] logical instants pass and the
 //!   breaker half-opens to let probe calls through (closed → open →
 //!   half-open).
 //!
 //! Breaker state and counters live in a shared [`ResilienceState`] so they
-//! survive across ticks (the invoker stack is rebuilt per tick in the PEMS
+//! survive across ticks (the pipeline is assembled per tick in the PEMS
 //! runtime). Graceful degradation of the β *output* — emitting partial
 //! results instead of erroring — is the executor's side of the contract:
 //! see [`DegradePolicy`](serena_core::ops::DegradePolicy).
+//!
+//! [`Invoker`]: serena_core::service::Invoker
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
+#[cfg(doc)]
 use serena_core::error::EvalError;
-use serena_core::prototype::Prototype;
-use serena_core::service::{Invoker, InvokerLayer};
 use serena_core::snapshot::{Reader, SnapshotError, Writer};
-use serena_core::sync::{Mutex, RwLock};
-use serena_core::telemetry::{Counter, FlightRecorder, MetricsRegistry, TraceEvent, TraceSink};
+use serena_core::sync::Mutex;
 use serena_core::time::Instant;
-use serena_core::tuple::Tuple;
 use serena_core::value::ServiceRef;
 
-use crate::health::HealthTracker;
-
-/// Everything the resilience layer is allowed to do on behalf of one
+/// Everything the pipeline's resilience stage may do on behalf of one
 /// invocation, per service. The default ([`ResiliencePolicy::disabled`]) is
 /// fully transparent: no deadline, no retries, no breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +76,9 @@ impl Default for ResiliencePolicy {
 }
 
 impl ResiliencePolicy {
-    /// Fully transparent: no deadline, no retries, no breaker. The invoker
-    /// stack skips the resilience layer entirely under this policy.
+    /// Fully transparent: no deadline, no retries, no breaker. The β
+    /// pipeline makes exactly one attempt per call (and opens no
+    /// `beta.call` span) under this policy.
     pub fn disabled() -> Self {
         ResiliencePolicy {
             max_retries: 0,
@@ -107,8 +105,9 @@ impl ResiliencePolicy {
         }
     }
 
-    /// Whether this policy does nothing at all (lets the stack skip the
-    /// layer).
+    /// Whether this policy does nothing at all (lets the pipeline skip the
+    /// resilience stage).
+    #[inline]
     pub fn is_disabled(&self) -> bool {
         self.max_retries == 0 && self.deadline.is_none() && self.breaker_threshold == 0
     }
@@ -142,7 +141,7 @@ impl ResiliencePolicy {
 
     /// The backoff delay before retry number `attempt` (1-based), before
     /// jitter: `base × 2^(attempt-1)`, capped.
-    fn backoff_for(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> Duration {
         if self.backoff_base.is_zero() {
             return Duration::ZERO;
         }
@@ -215,11 +214,11 @@ pub struct ResilienceCounters {
     pub rejected: u64,
 }
 
-/// Shared, tick-surviving state of the resilience layer: per-service
-/// breakers plus global counters. One `Arc<ResilienceState>` is created per
-/// PEMS (or per test) and handed to every [`ResilientInvoker`] built over
-/// it, so breakers keep their memory even though the invoker stack itself
-/// is rebuilt per tick.
+/// Shared, tick-surviving state of the resilience stage: per-service
+/// breakers plus global counters. One `ResilienceState` is created per
+/// PEMS (or per test) and handed to every β pipeline built over it, so
+/// breakers keep their memory even though the pipeline itself is
+/// assembled per tick.
 #[derive(Debug, Default)]
 pub struct ResilienceState {
     breakers: Mutex<HashMap<ServiceRef, Breaker>>,
@@ -344,705 +343,150 @@ impl ResilienceState {
     }
 }
 
-/// Cached per-service registry series.
-#[derive(Clone)]
-struct ResilienceSeries {
-    retries: Arc<Counter>,
-    timeouts: Arc<Counter>,
-    breaker_opened: Arc<Counter>,
-    rejected: Arc<Counter>,
-    /// `serena_breaker_transitions_total{service,to}` for
-    /// `to ∈ {closed, open, half_open}`, in that order.
-    transitions: [Arc<Counter>; 3],
+/// A breaker edge `(from, to)` over the labels `"closed"`, `"open"` and
+/// `"half_open"` — what `serena_breaker_transitions_total{to}` and
+/// `TraceEvent::BreakerTransition` publish.
+pub(crate) type BreakerEdge = (&'static str, &'static str);
+
+/// What [`ResilienceState::admit`] decided for one call.
+pub(crate) enum Admission {
+    /// Let the call through; `Some` when this admission half-opened the
+    /// breaker.
+    Admit(Option<BreakerEdge>),
+    /// The breaker is open (or out of half-open probes): fail fast. Already
+    /// counted in [`ResilienceCounters::rejected`].
+    Reject,
 }
 
-/// The resilience middleware: deadline + retry/backoff + circuit breaker
-/// around any [`Invoker`]. See the [module docs](self) for the semantics
-/// and [`ResilientLayer`] for the [`InvokerStack`]-friendly constructor.
-///
-/// [`InvokerStack`]: serena_core::service::InvokerStack
-pub struct ResilientInvoker<'a, I> {
-    inner: I,
-    policy: ResiliencePolicy,
-    state: Arc<ResilienceState>,
-    health: Option<&'a HealthTracker>,
-    registry: Option<&'a MetricsRegistry>,
-    tracer: Option<&'a FlightRecorder>,
-    trace: Option<&'a dyn TraceSink>,
-    series: RwLock<HashMap<ServiceRef, ResilienceSeries>>,
-}
-
-impl<'a, I: Invoker> ResilientInvoker<'a, I> {
-    /// Wrap `inner` under `policy` with fresh private state.
-    pub fn new(inner: I, policy: ResiliencePolicy) -> Self {
-        Self::with_state(inner, policy, Arc::new(ResilienceState::new()))
-    }
-
-    /// Wrap `inner` under `policy`, sharing `state` (breakers + counters)
-    /// with other invokers built over it.
-    pub fn with_state(inner: I, policy: ResiliencePolicy, state: Arc<ResilienceState>) -> Self {
-        ResilientInvoker {
-            inner,
-            policy,
-            state,
-            health: None,
-            registry: None,
-            tracer: None,
-            trace: None,
-            series: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// Let the breaker also consult `health`'s consecutive-error count, and
-    /// record deadline conversions as failures there.
-    pub fn with_health(mut self, health: &'a HealthTracker) -> Self {
-        self.health = Some(health);
-        self
-    }
-
-    /// Publish per-service `serena_resilience_*_total{service}` counters
-    /// into `registry`.
-    pub fn with_registry(mut self, registry: &'a MetricsRegistry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Record one `beta.call` span per logical call into `tracer`,
-    /// annotated with attempts/retries, breaker state, deadline and
-    /// outcome; per-attempt spans from the instrumented layer below nest
-    /// inside it.
-    pub fn with_tracer(mut self, tracer: &'a FlightRecorder) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Emit a [`TraceEvent::BreakerTransition`] into `trace` on every
-    /// closed → open → half-open → closed edge.
-    pub fn with_trace(mut self, trace: &'a dyn TraceSink) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// The shared state (for snapshots).
-    pub fn state(&self) -> &Arc<ResilienceState> {
-        &self.state
-    }
-
-    fn series_for(&self, registry: &MetricsRegistry, service: &ServiceRef) -> ResilienceSeries {
-        if let Some(series) = self.series.read().get(service) {
-            return series.clone();
-        }
-        let labels: [(&str, &str); 1] = [("service", service.as_str())];
-        let transition = |to: &str| {
-            registry.counter(
-                "serena_breaker_transitions_total",
-                &[("service", service.as_str()), ("to", to)],
-            )
-        };
-        let series = ResilienceSeries {
-            retries: registry.counter("serena_resilience_retries_total", &labels),
-            timeouts: registry.counter("serena_resilience_timeouts_total", &labels),
-            breaker_opened: registry.counter("serena_resilience_breaker_opened_total", &labels),
-            rejected: registry.counter("serena_resilience_rejected_total", &labels),
-            transitions: [
-                transition("closed"),
-                transition("open"),
-                transition("half_open"),
-            ],
-        };
-        self.series
-            .write()
-            .entry(service.clone())
-            .or_insert(series)
-            .clone()
-    }
-
-    fn bump(&self, service: &ServiceRef, pick: impl Fn(&ResilienceSeries) -> &Arc<Counter>) {
-        if let Some(registry) = self.registry {
-            pick(&self.series_for(registry, service)).inc();
-        }
-    }
-
-    /// Publish one breaker edge: bump
-    /// `serena_breaker_transitions_total{service,to}` and emit a
-    /// [`TraceEvent::BreakerTransition`]. Labels: "closed" (index 0),
-    /// "open" (1), "half_open" (2).
-    fn breaker_transition(
-        &self,
-        service: &ServiceRef,
-        at: Instant,
-        from: &'static str,
-        to: &'static str,
-    ) {
-        let to_index = match to {
-            "closed" => 0,
-            "open" => 1,
-            _ => 2,
-        };
-        self.bump(service, |s| &s.transitions[to_index]);
-        if let Some(trace) = self.trace {
-            trace.emit(&TraceEvent::BreakerTransition {
-                service: service.to_string(),
-                at,
-                from: from.to_string(),
-                to: to.to_string(),
-            });
-        }
-    }
-
+/// The breaker state machine, driven by the β pipeline's resilience stage.
+impl ResilienceState {
     /// Gate one invocation through `service`'s breaker. Transitions
     /// open → half-open when the cooldown has elapsed at `at`.
     ///
     /// Services without a breaker record are implicitly
     /// [`BreakerState::Closed`]; while no record exists anywhere (no
-    /// failure observed yet) this is a single relaxed atomic load.
-    fn admit(&self, service: &ServiceRef, at: Instant) -> Result<(), EvalError> {
-        if self.policy.breaker_threshold == 0 || self.state.engaged.load(Ordering::Relaxed) == 0 {
-            return Ok(());
+    /// failure observed yet) this is a single relaxed atomic load, inlined
+    /// into the pipeline; the locked slow path stays out of line.
+    #[inline]
+    pub(crate) fn admit(
+        &self,
+        policy: &ResiliencePolicy,
+        service: &ServiceRef,
+        at: Instant,
+    ) -> Admission {
+        if policy.breaker_threshold == 0 || self.engaged.load(Ordering::Relaxed) == 0 {
+            return Admission::Admit(None);
         }
-        let mut breakers = self.state.breakers.lock();
+        self.admit_engaged(policy, service, at)
+    }
+
+    fn admit_engaged(
+        &self,
+        policy: &ResiliencePolicy,
+        service: &ServiceRef,
+        at: Instant,
+    ) -> Admission {
+        let mut breakers = self.breakers.lock();
         let Some(b) = breakers.get_mut(service) else {
-            return Ok(());
+            return Admission::Admit(None);
         };
         match b.state {
-            BreakerState::Closed => Ok(()),
+            BreakerState::Closed => Admission::Admit(None),
             BreakerState::Open { until } if at >= until => {
                 b.state = BreakerState::HalfOpen {
-                    probes_left: self.policy.half_open_probes.max(1) - 1,
+                    probes_left: policy.half_open_probes.max(1) - 1,
                 };
-                drop(breakers);
-                self.breaker_transition(service, at, "open", "half_open");
-                Ok(())
+                Admission::Admit(Some(("open", "half_open")))
             }
             BreakerState::HalfOpen { probes_left } if probes_left > 0 => {
                 b.state = BreakerState::HalfOpen {
                     probes_left: probes_left - 1,
                 };
-                Ok(())
+                Admission::Admit(None)
             }
             _ => {
-                drop(breakers);
-                self.state.rejected.fetch_add(1, Ordering::Relaxed);
-                self.bump(service, |s| &s.rejected);
-                Err(EvalError::CircuitOpen {
-                    service: service.to_string(),
-                })
+                self.rejected.fetch_add(1, Ordering::Relaxed);
+                Admission::Reject
             }
         }
     }
 
-    /// One successful call: close the breaker, reset the failure streak.
-    /// A reset breaker is back at the default, so its record is dropped
-    /// (keeping the `engaged == 0` fast path reachable again).
-    fn on_success(&self, service: &ServiceRef, at: Instant) {
-        if self.policy.breaker_threshold == 0 || self.state.engaged.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let mut breakers = self.state.breakers.lock();
-        let removed = breakers.remove(service);
-        if let Some(b) = removed {
-            self.state.engaged.fetch_sub(1, Ordering::Relaxed);
-            drop(breakers);
-            // Only a breaker that had actually left Closed closes *now*;
-            // dropping a record that merely tracked a failure streak is
-            // not a state change.
-            match b.state {
-                BreakerState::Open { .. } => self.breaker_transition(service, at, "open", "closed"),
-                BreakerState::HalfOpen { .. } => {
-                    self.breaker_transition(service, at, "half_open", "closed")
-                }
-                BreakerState::Closed => {}
-            }
-        }
-    }
-
-    /// One failed attempt: extend the failure streak (also consulting the
-    /// health tracker's view when attached) and open the breaker when the
-    /// threshold is reached — immediately when half-open.
-    fn on_failure(&self, service: &ServiceRef, at: Instant) {
-        if self.policy.breaker_threshold == 0 {
-            return;
-        }
-        let mut breakers = self.state.breakers.lock();
-        let b = match breakers.entry(service.clone()) {
-            std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.state.engaged.fetch_add(1, Ordering::Relaxed);
-                v.insert(Breaker::default())
-            }
-        };
-        b.consecutive_failures += 1;
-        let health_view = self
-            .health
-            .and_then(|h| h.health_of(service))
-            .map(|h| h.consecutive_errors)
-            .unwrap_or(0);
-        let streak = b.consecutive_failures.max(health_view);
-        let half_open = matches!(b.state, BreakerState::HalfOpen { .. });
-        if half_open || streak >= u64::from(self.policy.breaker_threshold) {
-            b.state = BreakerState::Open {
-                until: at + self.policy.breaker_cooldown,
-            };
-            b.consecutive_failures = 0;
-            drop(breakers);
-            self.state.breaker_opened.fetch_add(1, Ordering::Relaxed);
-            self.bump(service, |s| &s.breaker_opened);
-            self.breaker_transition(
-                service,
-                at,
-                if half_open { "half_open" } else { "closed" },
-                "open",
-            );
-        }
-    }
-
-    /// Deterministic jitter factor in `[0.5, 1.0)` for one (service,
-    /// instant, attempt) triple — stable across runs, decorrelated across
-    /// services and attempts.
-    fn jitter(service: &ServiceRef, at: Instant, attempt: u32) -> f64 {
-        let mut hasher = DefaultHasher::new();
-        service.as_str().hash(&mut hasher);
-        at.ticks().hash(&mut hasher);
-        attempt.hash(&mut hasher);
-        let unit = (hasher.finish() >> 11) as f64 / (1u64 << 53) as f64;
-        0.5 + unit / 2.0
-    }
-}
-
-/// An error worth retrying: the service exists and speaks the prototype,
-/// it just failed (or timed out) this time.
-fn is_transient(e: &EvalError) -> bool {
-    matches!(
-        e,
-        EvalError::InvocationFailed { .. }
-            | EvalError::DeadlineExceeded { .. }
-            | EvalError::RemoteUnavailable { .. }
-    )
-}
-
-impl<I: Invoker> Invoker for ResilientInvoker<'_, I> {
-    fn invoke(
+    /// One successful attempt: close the breaker, reset the failure
+    /// streak. A reset breaker is back at the default, so its record is
+    /// dropped (keeping the `engaged == 0` fast path reachable again).
+    /// Returns the edge when a breaker that had left Closed closes now.
+    /// Like [`Self::admit`], the lock-free fast check inlines.
+    #[inline]
+    pub(crate) fn on_success(
         &self,
-        prototype: &Prototype,
-        service_ref: &ServiceRef,
-        input: &Tuple,
+        policy: &ResiliencePolicy,
+        service: &ServiceRef,
+    ) -> Option<BreakerEdge> {
+        if policy.breaker_threshold == 0 || self.engaged.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        self.close(service)
+    }
+
+    fn close(&self, service: &ServiceRef) -> Option<BreakerEdge> {
+        let removed = self.breakers.lock().remove(service)?;
+        self.engaged.fetch_sub(1, Ordering::Relaxed);
+        // dropping a record that merely tracked a failure streak is not a
+        // state change
+        match removed.state {
+            BreakerState::Open { .. } => Some(("open", "closed")),
+            BreakerState::HalfOpen { .. } => Some(("half_open", "closed")),
+            BreakerState::Closed => None,
+        }
+    }
+
+    /// One failed attempt: extend the failure streak (taking the larger of
+    /// it and `health_streak`, the health tracker's consecutive-error
+    /// count) and open the breaker when the threshold is reached —
+    /// immediately when half-open. Returns the edge when it opened.
+    pub(crate) fn on_failure(
+        &self,
+        policy: &ResiliencePolicy,
+        service: &ServiceRef,
         at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        if self.policy.is_disabled() {
-            return self.inner.invoke(prototype, service_ref, input, at);
+        health_streak: impl FnOnce() -> u64,
+    ) -> Option<BreakerEdge> {
+        if policy.breaker_threshold == 0 {
+            return None;
         }
-        let mut span = self.tracer.and_then(|t| t.start("beta.call", at));
-        if let Some(s) = span.as_mut() {
-            s.attr_str("service", service_ref.as_str());
-            if let Some(d) = self.policy.deadline {
-                s.attr_u64("deadline_ms", d.as_millis() as u64);
-            }
+        let mut breakers = self.breakers.lock();
+        let b = breakers.entry(service.clone()).or_insert_with(|| {
+            self.engaged.fetch_add(1, Ordering::Relaxed);
+            Breaker::default()
+        });
+        b.consecutive_failures += 1;
+        let streak = b.consecutive_failures.max(health_streak());
+        let half_open = matches!(b.state, BreakerState::HalfOpen { .. });
+        if !half_open && streak < u64::from(policy.breaker_threshold) {
+            return None;
         }
-        let _in_span = span.as_ref().map(|s| s.enter());
-        if let Err(e) = self.admit(service_ref, at) {
-            if let Some(s) = span.as_mut() {
-                s.attr_u64("attempts", 0);
-                s.attr_str("breaker", "rejected");
-                s.attr_u64("ok", 0);
-            }
-            return Err(e);
-        }
-        let mut attempt: u32 = 0;
-        let outcome = loop {
-            attempt += 1;
-            // the wall clock is only consulted when a deadline is armed
-            let started = self.policy.deadline.map(|_| std::time::Instant::now());
-            let mut result = self.inner.invoke(prototype, service_ref, input, at);
-            if let (Some(deadline), Some(started)) = (self.policy.deadline, started) {
-                if result.is_ok() && started.elapsed() > deadline {
-                    // Soft deadline: the call completed but too late — its
-                    // result is discarded. The instrumented layer below saw
-                    // a success, so feed the failure to health directly
-                    // (one extra attempt in its window).
-                    self.state.timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.bump(service_ref, |s| &s.timeouts);
-                    let err = EvalError::DeadlineExceeded {
-                        service: service_ref.to_string(),
-                        prototype: prototype.name().to_string(),
-                    };
-                    if let Some(health) = self.health {
-                        health.record(service_ref, at, Some(&err.to_string()));
-                    }
-                    result = Err(err);
-                }
-            }
-            match result {
-                Ok(rows) => {
-                    self.on_success(service_ref, at);
-                    break Ok(rows);
-                }
-                Err(e) => {
-                    self.on_failure(service_ref, at);
-                    if attempt > self.policy.max_retries || !is_transient(&e) {
-                        break Err(e);
-                    }
-                    // A breaker opened by this streak stops the retry loop:
-                    // the service is presumed gone, fail fast.
-                    if matches!(
-                        self.state.breaker_of(service_ref),
-                        BreakerState::Open { .. }
-                    ) {
-                        break Err(e);
-                    }
-                    self.state.retries.fetch_add(1, Ordering::Relaxed);
-                    self.bump(service_ref, |s| &s.retries);
-                    let delay = self.policy.backoff_for(attempt);
-                    if !delay.is_zero() {
-                        let jittered = delay.mul_f64(Self::jitter(service_ref, at, attempt));
-                        std::thread::sleep(jittered);
-                    }
-                }
-            }
+        b.state = BreakerState::Open {
+            until: at + policy.breaker_cooldown,
         };
-        if let Some(s) = span.as_mut() {
-            s.attr_u64("attempts", u64::from(attempt));
-            s.attr_u64("retries", u64::from(attempt.saturating_sub(1)));
-            s.attr_str("breaker", self.state.breaker_of(service_ref).to_string());
-            s.attr_u64("ok", outcome.is_ok() as u64);
-        }
-        outcome
+        b.consecutive_failures = 0;
+        self.breaker_opened.fetch_add(1, Ordering::Relaxed);
+        Some((if half_open { "half_open" } else { "closed" }, "open"))
     }
 
-    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        self.inner.providers_of(prototype)
-    }
-}
-
-/// The [`InvokerLayer`] form of [`ResilientInvoker`], for use with
-/// [`InvokerStack`](serena_core::service::InvokerStack):
-///
-/// ```
-/// use std::sync::Arc;
-/// use serena_core::prelude::*;
-/// use serena_services::resilience::{ResiliencePolicy, ResilienceState, ResilientLayer};
-///
-/// let base = serena_core::service::fixtures::example_registry();
-/// let state = Arc::new(ResilienceState::new());
-/// let stack = InvokerStack::new(base)
-///     .layer(InstrumentedLayer::new())
-///     .layer(ResilientLayer::new(ResiliencePolicy::standard(), state));
-/// assert!(!stack.providers_of("getTemperature").is_empty());
-/// ```
-pub struct ResilientLayer<'a> {
-    policy: ResiliencePolicy,
-    state: Arc<ResilienceState>,
-    health: Option<&'a HealthTracker>,
-    registry: Option<&'a MetricsRegistry>,
-    tracer: Option<&'a FlightRecorder>,
-    trace: Option<&'a dyn TraceSink>,
-}
-
-impl<'a> ResilientLayer<'a> {
-    /// A layer applying `policy`, sharing `state` across rebuilds.
-    pub fn new(policy: ResiliencePolicy, state: Arc<ResilienceState>) -> Self {
-        ResilientLayer {
-            policy,
-            state,
-            health: None,
-            registry: None,
-            tracer: None,
-            trace: None,
-        }
+    /// Count one retry attempt.
+    pub(crate) fn count_retry(&self) {
+        self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// See [`ResilientInvoker::with_health`].
-    pub fn health(mut self, health: &'a HealthTracker) -> Self {
-        self.health = Some(health);
-        self
-    }
-
-    /// See [`ResilientInvoker::with_registry`].
-    pub fn registry(mut self, registry: &'a MetricsRegistry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// See [`ResilientInvoker::with_tracer`].
-    pub fn tracer(mut self, tracer: &'a FlightRecorder) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// See [`ResilientInvoker::with_trace`].
-    pub fn trace(mut self, trace: &'a dyn TraceSink) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-}
-
-impl<'a> InvokerLayer<'a> for ResilientLayer<'a> {
-    fn wrap(self, inner: Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a> {
-        if self.policy.is_disabled() {
-            // Nothing to do — keep the stack free of a dead layer.
-            return inner;
-        }
-        let mut invoker = ResilientInvoker::with_state(inner, self.policy, self.state);
-        if let Some(health) = self.health {
-            invoker = invoker.with_health(health);
-        }
-        if let Some(registry) = self.registry {
-            invoker = invoker.with_registry(registry);
-        }
-        if let Some(tracer) = self.tracer {
-            invoker = invoker.with_tracer(tracer);
-        }
-        if let Some(trace) = self.trace {
-            invoker = invoker.with_trace(trace);
-        }
-        Box::new(invoker)
+    /// Count one deadline conversion.
+    pub(crate) fn count_timeout(&self) {
+        self.timeouts.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultPolicy, FaultyService};
-    use crate::registry::DynamicRegistry;
-    use serena_core::prototype::examples as protos;
-    use serena_core::service::fixtures;
-
-    fn flaky(policy: FaultPolicy) -> (DynamicRegistry, Arc<FaultyService>) {
-        let faulty = FaultyService::new(fixtures::temperature_sensor(1), policy);
-        let reg = DynamicRegistry::new();
-        reg.register("flaky", faulty.clone());
-        (reg, faulty)
-    }
-
-    fn call(invoker: &dyn Invoker, at: Instant) -> Result<Vec<Tuple>, EvalError> {
-        invoker.invoke(
-            &protos::get_temperature(),
-            &ServiceRef::new("flaky"),
-            &Tuple::empty(),
-            at,
-        )
-    }
-
-    #[test]
-    fn disabled_policy_is_transparent() {
-        let (reg, faulty) = flaky(FaultPolicy::EveryNth(2));
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled());
-        assert!(call(&invoker, Instant(0)).is_err()); // call 0 fails
-        assert!(call(&invoker, Instant(0)).is_ok());
-        assert_eq!(faulty.attempts(), 2); // no retries happened
-        assert_eq!(invoker.state().counters(), ResilienceCounters::default());
-    }
-
-    #[test]
-    fn retries_recover_transient_faults() {
-        // every cycle: 1 failure then 3 successes; one retry suffices
-        let (reg, faulty) = flaky(FaultPolicy::Intermittent { fail: 1, ok: 3 });
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled().with_retries(2));
-        for t in 0..8u64 {
-            assert!(call(&invoker, Instant(t)).is_ok(), "t={t}");
-        }
-        let c = invoker.state().counters();
-        assert_eq!(c.retries, 3); // faults at raw calls 0, 4 and 8
-        assert_eq!(faulty.attempts(), 11); // 8 logical + 3 retries
-    }
-
-    #[test]
-    fn retry_budget_exhausts_on_persistent_faults() {
-        let (reg, faulty) = flaky(FaultPolicy::EveryNth(1)); // always fails
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled().with_retries(3));
-        let err = call(&invoker, Instant(0)).unwrap_err();
-        assert!(matches!(err, EvalError::InvocationFailed { .. }));
-        assert_eq!(faulty.attempts(), 4); // 1 + 3 retries
-        assert_eq!(invoker.state().counters().retries, 3);
-    }
-
-    #[test]
-    fn non_transient_errors_are_not_retried() {
-        let reg = DynamicRegistry::new();
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled().with_retries(5));
-        // unknown service → not transient
-        let err = call(&invoker, Instant(0)).unwrap_err();
-        assert!(matches!(err, EvalError::UnknownService { .. }));
-        assert_eq!(invoker.state().counters().retries, 0);
-    }
-
-    #[test]
-    fn breaker_opens_then_half_opens_then_closes() {
-        let (reg, faulty) = flaky(FaultPolicy::Intermittent { fail: 3, ok: 100 });
-        let policy = ResiliencePolicy::disabled().with_breaker(3, 4);
-        let state = Arc::new(ResilienceState::new());
-        let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
-        let sref = ServiceRef::new("flaky");
-
-        // three consecutive failures trip the breaker at τ=2
-        for t in 0..3u64 {
-            assert!(call(&invoker, Instant(t)).is_err());
-        }
-        assert_eq!(
-            state.breaker_of(&sref),
-            BreakerState::Open { until: Instant(6) }
-        );
-        assert_eq!(state.counters().breaker_opened, 1);
-
-        // during cooldown: rejected fast, the service is never touched
-        let attempts_before = faulty.attempts();
-        let err = call(&invoker, Instant(4)).unwrap_err();
-        assert!(matches!(err, EvalError::CircuitOpen { .. }));
-        assert_eq!(faulty.attempts(), attempts_before);
-        assert_eq!(state.counters().rejected, 1);
-
-        // cooldown over: the probe goes through (fault cycle is in its ok
-        // phase now) and the breaker closes
-        assert!(call(&invoker, Instant(6)).is_ok());
-        assert_eq!(state.breaker_of(&sref), BreakerState::Closed);
-    }
-
-    #[test]
-    fn breaker_edges_publish_transition_telemetry() {
-        use serena_core::telemetry::MemoryTrace;
-        let (reg, _faulty) = flaky(FaultPolicy::Intermittent { fail: 3, ok: 100 });
-        let policy = ResiliencePolicy::disabled().with_breaker(3, 4);
-        let state = Arc::new(ResilienceState::new());
-        let registry = MetricsRegistry::new();
-        let trace = MemoryTrace::new();
-        let invoker = ResilientInvoker::with_state(&reg, policy, state.clone())
-            .with_registry(&registry)
-            .with_trace(&trace);
-
-        // closed → open at τ=2, open → half-open → closed at τ=6
-        for t in 0..3u64 {
-            assert!(call(&invoker, Instant(t)).is_err());
-        }
-        assert!(call(&invoker, Instant(6)).is_ok());
-
-        let count = |to: &str| {
-            registry
-                .counter(
-                    "serena_breaker_transitions_total",
-                    &[("service", "flaky"), ("to", to)],
-                )
-                .get()
-        };
-        assert_eq!(count("open"), 1);
-        assert_eq!(count("half_open"), 1);
-        assert_eq!(count("closed"), 1);
-
-        let edges: Vec<(String, String, Instant)> = trace
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::BreakerTransition { from, to, at, .. } => {
-                    Some((from.clone(), to.clone(), *at))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            edges,
-            vec![
-                ("closed".into(), "open".into(), Instant(2)),
-                ("open".into(), "half_open".into(), Instant(6)),
-                ("half_open".into(), "closed".into(), Instant(6)),
-            ]
-        );
-    }
-
-    #[test]
-    fn half_open_probe_failure_reopens() {
-        let (reg, _faulty) = flaky(FaultPolicy::EveryNth(1)); // always fails
-        let policy = ResiliencePolicy::disabled().with_breaker(2, 3);
-        let state = Arc::new(ResilienceState::new());
-        let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
-        let sref = ServiceRef::new("flaky");
-
-        assert!(call(&invoker, Instant(0)).is_err());
-        assert!(call(&invoker, Instant(1)).is_err());
-        assert_eq!(
-            state.breaker_of(&sref),
-            BreakerState::Open { until: Instant(4) }
-        );
-        // probe at τ=4 fails → immediately reopen until τ=7
-        assert!(call(&invoker, Instant(4)).is_err());
-        assert_eq!(
-            state.breaker_of(&sref),
-            BreakerState::Open { until: Instant(7) }
-        );
-        assert_eq!(state.counters().breaker_opened, 2);
-    }
-
-    #[test]
-    fn deadline_converts_slow_success() {
-        use crate::faults::SlowInvoker;
-        let reg = fixtures::example_registry();
-        let slow = SlowInvoker::new(reg, Duration::from_millis(10));
-        let policy = ResiliencePolicy::disabled().with_deadline(Duration::from_millis(1));
-        let health = HealthTracker::default();
-        let invoker = ResilientInvoker::new(slow, policy).with_health(&health);
-        let sref = ServiceRef::new("sensor01");
-        let err = invoker
-            .invoke(
-                &protos::get_temperature(),
-                &sref,
-                &Tuple::empty(),
-                Instant(0),
-            )
-            .unwrap_err();
-        assert!(matches!(err, EvalError::DeadlineExceeded { .. }));
-        assert_eq!(invoker.state().counters().timeouts, 1);
-        // the conversion is visible to health
-        let h = health.health_of(&sref).unwrap();
-        assert_eq!(h.failures, 1);
-    }
-
-    #[test]
-    fn registry_series_are_published() {
-        let (reg, _faulty) = flaky(FaultPolicy::EveryNth(1));
-        let registry = MetricsRegistry::new();
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled().with_retries(1))
-            .with_registry(&registry);
-        let _ = call(&invoker, Instant(0));
-        assert_eq!(
-            registry.counter_value("serena_resilience_retries_total", &[("service", "flaky")]),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn resilience_state_round_trips_through_snapshot() {
-        let (reg, _faulty) = flaky(FaultPolicy::EveryNth(1));
-        let policy = ResiliencePolicy::disabled().with_breaker(2, 3);
-        let state = Arc::new(ResilienceState::new());
-        let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
-        assert!(call(&invoker, Instant(0)).is_err());
-        assert!(call(&invoker, Instant(1)).is_err()); // opens the breaker
-
-        let mut w = Writer::new();
-        state.export_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let restored = Arc::new(ResilienceState::new());
-        restored.import_state(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(restored.counters(), state.counters());
-        assert_eq!(restored.breakers(), state.breakers());
-        // the restored breaker still rejects during cooldown, without any
-        // warm-up calls — the engaged fast path was rebuilt too
-        let invoker = ResilientInvoker::with_state(&reg, policy, restored.clone());
-        let err = call(&invoker, Instant(2)).unwrap_err();
-        assert!(matches!(err, EvalError::CircuitOpen { .. }));
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let s = ServiceRef::new("svc");
-        let a = ResilientInvoker::<&DynamicRegistry>::jitter(&s, Instant(7), 2);
-        let b = ResilientInvoker::<&DynamicRegistry>::jitter(&s, Instant(7), 2);
-        assert_eq!(a, b);
-        for at in 0..50u64 {
-            for attempt in 1..4u32 {
-                let j = ResilientInvoker::<&DynamicRegistry>::jitter(&s, Instant(at), attempt);
-                assert!((0.5..1.0).contains(&j), "{j}");
-            }
-        }
-    }
 
     #[test]
     fn backoff_doubles_and_caps() {

@@ -1,11 +1,9 @@
-//! Export/import round-trips for the resilience layer's tick-surviving
+//! Export/import round-trips for the β pipeline's tick-surviving
 //! state at rolling-window boundaries: `HealthTracker` windows that are
 //! empty, exactly full, and mid-rotation (older outcomes already pushed
 //! out), plus `ResilienceState` breakers caught in every phase of the
 //! closed → open → half-open cycle. These states were previously only
 //! exercised incidentally through full-engine recovery tests.
-
-use std::sync::Arc;
 
 use serena_core::prototype::examples as protos;
 use serena_core::service::{fixtures, Invoker};
@@ -15,10 +13,9 @@ use serena_core::tuple::Tuple;
 use serena_core::value::ServiceRef;
 use serena_services::faults::{FaultPolicy, FaultyService};
 use serena_services::health::HealthTracker;
+use serena_services::pipeline::BetaPipeline;
 use serena_services::registry::DynamicRegistry;
-use serena_services::resilience::{
-    BreakerState, ResiliencePolicy, ResilienceState, ResilientInvoker,
-};
+use serena_services::resilience::{BreakerState, ResiliencePolicy, ResilienceState};
 
 fn roundtrip_health(src: &HealthTracker, dst: &HealthTracker) {
     let mut w = Writer::new();
@@ -55,7 +52,7 @@ fn flaky_registry(policy: FaultPolicy) -> DynamicRegistry {
 }
 
 fn call(
-    invoker: &ResilientInvoker<'_, &DynamicRegistry>,
+    invoker: &BetaPipeline<'_, &DynamicRegistry>,
     sref: &ServiceRef,
     at: Instant,
 ) -> Result<Vec<Tuple>, serena_core::error::EvalError> {
@@ -156,8 +153,8 @@ fn resilience_fresh_state_round_trips() {
 fn resilience_breaker_phases_round_trip() {
     let reg = flaky_registry(FaultPolicy::EveryNth(1)); // always fails
     let policy = ResiliencePolicy::disabled().with_breaker(3, 4);
-    let state = Arc::new(ResilienceState::new());
-    let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
+    let state = ResilienceState::new();
+    let invoker = BetaPipeline::new(&reg, policy, &state);
     let sref = ServiceRef::new("flaky");
 
     // phase 1: one failure — breaker still closed but a streak record
@@ -192,8 +189,8 @@ fn resilience_half_open_mid_probe_round_trips() {
     let reg = flaky_registry(FaultPolicy::Intermittent { fail: 3, ok: 100 });
     let mut policy = ResiliencePolicy::disabled().with_breaker(3, 4);
     policy.half_open_probes = 3;
-    let state = Arc::new(ResilienceState::new());
-    let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
+    let state = ResilienceState::new();
+    let invoker = BetaPipeline::new(&reg, policy, &state);
     let sref = ServiceRef::new("flaky");
     for t in 0..3u64 {
         assert!(call(&invoker, &sref, Instant(t)).is_err());
@@ -205,11 +202,11 @@ fn resilience_half_open_mid_probe_round_trips() {
     let mut w = Writer::new();
     state.export_state(&mut w);
     let bytes = w.into_bytes();
-    let restored = Arc::new(ResilienceState::new());
+    let restored = ResilienceState::new();
     restored
         .import_state(&mut Reader::new(&bytes))
         .expect("import");
-    let invoker2 = ResilientInvoker::with_state(&reg, policy, restored.clone());
+    let invoker2 = BetaPipeline::new(&reg, policy, &restored);
     assert!(call(&invoker2, &sref, Instant(6)).is_ok());
     assert_eq!(restored.breaker_of(&sref), BreakerState::Closed);
     // the original, run the same way, agrees
@@ -223,8 +220,8 @@ fn resilience_counters_round_trip_independently_of_breakers() {
     let policy = ResiliencePolicy::disabled()
         .with_breaker(2, 10)
         .with_retries(1);
-    let state = Arc::new(ResilienceState::new());
-    let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
+    let state = ResilienceState::new();
+    let invoker = BetaPipeline::new(&reg, policy, &state);
     let sref = ServiceRef::new("flaky");
     for t in 0..4u64 {
         let _ = call(&invoker, &sref, Instant(t));

@@ -81,11 +81,9 @@ impl TableHandle {
     pub fn replace_with(&self, tuples: impl IntoIterator<Item = Tuple>) {
         let mut state = self.inner.lock();
         let target: Multiset = tuples.into_iter().collect();
-        // desired delta from (current ⊕ already-pending) to target
-        let mut projected = state.current.clone();
-        let pending = std::mem::take(&mut state.pending);
-        projected.apply(&pending);
-        state.pending = projected.diff_to(&target);
+        // the pending delta is relative to `current`, so it is the diff
+        // from `current` (not from `current ⊕ pending`) to the target
+        state.pending = state.current.diff_to(&target);
     }
 
     /// Snapshot of the current (already-ticked) contents.
@@ -281,6 +279,20 @@ mod tests {
         assert!(snap.contains(&tuple![2]));
         assert!(!snap.contains(&tuple![1]));
         assert_eq!(snap.len(), 1);
+    }
+
+    #[test]
+    fn repeated_replace_without_commit_keeps_the_target() {
+        // a discovery table no continuous query commits: every refresh
+        // must project the same contents, not alternate full/empty
+        let t = TableHandle::new(schema());
+        for _ in 0..4 {
+            t.replace_with(vec![tuple![1], tuple![2]]);
+            assert_eq!(t.projected().len(), 2);
+        }
+        assert!(t.snapshot().is_empty());
+        t.tick_at(Instant(1), false);
+        assert_eq!(t.snapshot().len(), 2);
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub mod prelude {
         ReplanPolicy, ReplanReason,
     };
     pub use serena_services::{
-        BreakerState, HealthStatus, HealthTracker, ResilienceCounters, ResiliencePolicy,
-        ResilienceState, ResilientInvoker, ResilientLayer, ServiceHealth,
+        BetaPipeline, BetaTelemetry, BreakerState, HealthStatus, HealthTracker, ResilienceCounters,
+        ResiliencePolicy, ResilienceState, ServiceHealth,
     };
     pub use serena_stream::{
         ContinuousQuery, SourceSet, StreamKind, StreamPlan, TableHandle, TickReport,

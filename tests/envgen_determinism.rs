@@ -50,7 +50,7 @@ fn workload() -> WorkloadSpec {
         .queries(QueryTemplate::RecentReadings { window: 4 }, 2)
         .queries(QueryTemplate::SensorInventory, 1)
         // β-bearing: live invocations through the (possibly parallel)
-        // invoker stack — the part parallelism could perturb.
+        // β pipeline — the part parallelism could perturb.
         .queries(QueryTemplate::SampledTemperatures { every: 1 }, 2)
 }
 

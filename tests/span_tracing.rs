@@ -141,7 +141,7 @@ fn span_tree_invariants_hold_across_workers_and_dedup() {
                 names.contains("beta.attempt"),
                 "{label}: no β attempt spans"
             );
-            // the dedup layer only exists (and only spans) when armed
+            // the dedup stage only runs (and only spans) when armed
             assert_eq!(
                 names.contains("beta"),
                 dedup,
@@ -172,7 +172,7 @@ fn span_tree_invariants_hold_across_workers_and_dedup() {
 fn retries_and_dedup_attributes_surface_in_spans() {
     let (_pems, spans) = run(4, true, true);
     assert_span_tree_invariants(&spans, "resilient run");
-    // the resilient layer wraps every call: attempts/retries/breaker/ok
+    // the resilience stage wraps every call: attempts/retries/breaker/ok
     let calls: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "beta.call").collect();
     assert!(!calls.is_empty(), "no beta.call spans under resilience");
     assert!(calls.iter().all(|c| {
